@@ -7,97 +7,16 @@ influence, degree weight, noise stability) is an exact rational.
 
 __version__ = "0.1.0"
 
-from .conjecture import (
-    ComparisonReport,
-    SearchResult,
-    VerificationReport,
-    canonical_weight_vectors,
-    compare_stability,
-    crossover_scan,
-    search_counterexamples,
-    verify_counterexample,
-)
-from .core import (
-    MAX_ARITY,
-    ORACLE_MAX_ARITY,
-    BooleanFunction,
-    complement_index,
-    flip_coordinate,
-    index_to_signs,
-    signs_to_index,
-)
-from .fourier import (
-    FourierExpansion,
-    StabilityPolynomial,
-    character_matrix,
-    coefficient,
-    correlation_by_distance,
-    degree_weight,
-    influence,
-    influence_from_spectrum,
-    inverse_wht,
-    naive_expansion,
-    stability_oracle,
-    stability_polynomial,
-    wht,
-)
-from .ltf import (
-    COUNTEREXAMPLE_WEIGHTS,
-    LtfSpec,
-    TieEncountered,
-    counterexample,
-    counterexample_spec,
-    is_monotone,
-    is_odd,
-    is_unbiased,
-    majority,
-    materialize,
-    parse_spec,
-    render_spec,
-    tie_witness,
-)
+from . import conjecture, core, fourier, ltf
+from .conjecture import *  # noqa: F403
+from .core import *  # noqa: F403
+from .fourier import *  # noqa: F403
+from .ltf import *  # noqa: F403
 
 __all__ = [
     "__version__",
-    "MAX_ARITY",
-    "ORACLE_MAX_ARITY",
-    "COUNTEREXAMPLE_WEIGHTS",
-    "BooleanFunction",
-    "ComparisonReport",
-    "FourierExpansion",
-    "LtfSpec",
-    "SearchResult",
-    "StabilityPolynomial",
-    "TieEncountered",
-    "VerificationReport",
-    "canonical_weight_vectors",
-    "character_matrix",
-    "coefficient",
-    "compare_stability",
-    "complement_index",
-    "correlation_by_distance",
-    "counterexample",
-    "counterexample_spec",
-    "crossover_scan",
-    "degree_weight",
-    "flip_coordinate",
-    "index_to_signs",
-    "influence",
-    "influence_from_spectrum",
-    "inverse_wht",
-    "is_monotone",
-    "is_odd",
-    "is_unbiased",
-    "majority",
-    "materialize",
-    "naive_expansion",
-    "parse_spec",
-    "render_spec",
-    "search_counterexamples",
-    "signs_to_index",
-    "stability_oracle",
-    "stability_polynomial",
-    "tie_witness",
-    "verify_counterexample",
-    "wht",
+    *core.__all__,
+    *fourier.__all__,
+    *ltf.__all__,
+    *conjecture.__all__,
 ]

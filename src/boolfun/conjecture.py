@@ -25,15 +25,16 @@ from .fourier import (
     wht,
 )
 from .ltf import (
+    TIE_REJECT,
     TIE_TO_MINUS_ONE,
     LtfSpec,
+    TieEncountered,
     counterexample,
     is_monotone,
     is_odd,
     is_unbiased,
     majority,
     materialize,
-    tie_witness,
 )
 
 VERDICT_REFUTES = "refutes_at_small_rho"
@@ -41,6 +42,9 @@ VERDICT_CONSISTENT = "consistent"
 VERDICT_INDETERMINATE = "indeterminate"
 
 SEARCH_MAX_ARITY = 9
+# Each search worker is a separate interpreter with numpy loaded, so the
+# worker count is bounded like every other user-controlled size.
+MAX_WORKERS = 32
 
 # Sign-change brackets are narrowed to this width; they localize roots of the
 # difference polynomial, they do not prove isolation.
@@ -48,6 +52,7 @@ BRACKET_WIDTH = Fraction(1, 2**40)
 
 __all__ = [
     "BRACKET_WIDTH",
+    "MAX_WORKERS",
     "SEARCH_MAX_ARITY",
     "VERDICT_CONSISTENT",
     "VERDICT_INDETERMINATE",
@@ -64,22 +69,15 @@ __all__ = [
 ]
 
 
-def _eval_poly(coeffs, rho: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * rho + c
-    return acc
-
-
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
 
 
-def _refine_bracket(coeffs, lo, hi, lo_sign):
+def _refine_bracket(diff: StabilityPolynomial, lo, hi, lo_sign):
     """Bisect a strict sign change down to width <= 2^-40, exactly."""
     while hi - lo > BRACKET_WIDTH:
         mid = (lo + hi) / 2
-        s = _sign(_eval_poly(coeffs, mid))
+        s = _sign(diff.evaluate(mid))
         if s == 0:
             return (mid, mid)
         if s == lo_sign:
@@ -89,10 +87,10 @@ def _refine_bracket(coeffs, lo, hi, lo_sign):
     return (lo, hi)
 
 
-def _sign_change_brackets(coeffs, samples):
+def _sign_change_brackets(diff: StabilityPolynomial, samples):
     """Brackets for every sign change of the polynomial inside (0, 1).
 
-    ``samples`` is the ascending list of (rho, value) pairs over [0, 1].
+    ``samples`` is the ascending sequence of (rho, value) pairs over [0, 1].
     Zero-valued samples carry no sign, so the scan compares consecutive
     nonzero signs and bisects each flip; a touch of zero with equal signs
     on both sides is a root but not a crossover and is not reported. If a
@@ -101,7 +99,7 @@ def _sign_change_brackets(coeffs, samples):
     """
     nonzero = [(rho, _sign(val)) for rho, val in samples if val != 0]
     return [
-        _refine_bracket(coeffs, r0, r1, s0)
+        _refine_bracket(diff, r0, r1, s0)
         for (r0, s0), (r1, s1) in zip(nonzero, nonzero[1:])
         if s0 != s1
     ]
@@ -122,7 +120,27 @@ class ComparisonReport:
     small_rho_witness: tuple[Fraction, Fraction] | None  # (rho_0, D(rho_0))
 
 
-def _small_rho_witness(diff, grid):
+def _sampled_difference(candidate, reference, points: int):
+    """Both stability polynomials, D = Stab[reference] - Stab[candidate], and
+    the samples (t/points, D(t/points)) for t = 0..points.
+    """
+    if candidate.n != reference.n:
+        raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
+    if points < 2:
+        raise ValueError(f"a rho grid needs at least 2 intervals, got {points}")
+    poly_f = stability_polynomial(wht(candidate))
+    poly_g = stability_polynomial(wht(reference))
+    diff = StabilityPolynomial(
+        tuple(g - f for f, g in zip(poly_f.weights, poly_g.weights))
+    )
+    samples = tuple(
+        (Fraction(t, points), diff.evaluate(Fraction(t, points)))
+        for t in range(points + 1)
+    )
+    return poly_f, poly_g, diff, samples
+
+
+def _small_rho_witness(diff: StabilityPolynomial, grid):
     """A rho_0 with D positive on every sampled point of (0, rho_0].
 
     The positive grid prefix serves when there is one. Otherwise halve
@@ -140,7 +158,7 @@ def _small_rho_witness(diff, grid):
         return prefix_last
     rho = grid[1][0] / 2
     while True:
-        val = _eval_poly(diff, rho)
+        val = diff.evaluate(rho)
         if val > 0:
             return (rho, val)
         rho /= 2
@@ -156,18 +174,8 @@ def compare_stability(
     additionally no sampled difference is positive, and ``indeterminate``
     otherwise (a positive sample without the level-1 certificate).
     """
-    if candidate.n != reference.n:
-        raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
-    if grid_size < 2:
-        raise ValueError("grid size must be at least 2")
-    poly_f = stability_polynomial(wht(candidate))
-    poly_g = stability_polynomial(wht(reference))
-    diff = tuple(g - f for f, g in zip(poly_f.weights, poly_g.weights))
-    grid = tuple(
-        (Fraction(t, grid_size), _eval_poly(diff, Fraction(t, grid_size)))
-        for t in range(grid_size + 1)
-    )
-    margin = diff[1]
+    poly_f, poly_g, diff, grid = _sampled_difference(candidate, reference, grid_size)
+    margin = diff.weights[1]
     brackets = _sign_change_brackets(diff, grid)
     if margin > 0:
         verdict = VERDICT_REFUTES
@@ -183,7 +191,7 @@ def compare_stability(
         arity=candidate.n,
         poly_candidate=poly_f,
         poly_reference=poly_g,
-        diff_poly=diff,
+        diff_poly=diff.weights,
         grid=grid,
         margin=margin,
         verdict=verdict,
@@ -202,17 +210,7 @@ def crossover_scan(
     difference is sign-constant on the sampled points only; the resolution is
     the caller-visible bound on what the scan can distinguish.
     """
-    if candidate.n != reference.n:
-        raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
-    poly_f = stability_polynomial(wht(candidate))
-    poly_g = stability_polynomial(wht(reference))
-    diff = tuple(g - f for f, g in zip(poly_f.weights, poly_g.weights))
-    samples = [
-        (Fraction(t, resolution), _eval_poly(diff, Fraction(t, resolution)))
-        for t in range(resolution + 1)
-    ]
+    _, _, diff, samples = _sampled_difference(candidate, reference, resolution)
     return _sign_change_brackets(diff, samples)
 
 
@@ -341,12 +339,13 @@ def canonical_weight_vectors(n: int, max_weight: int):
 
 def _evaluate_candidate(weights, *, w1_majority, require_tie_free):
     spec = LtfSpec(weights)
-    witness = tie_witness(spec)
-    if witness is not None:
+    try:
+        f = materialize(spec)
+    except TieEncountered:
         if require_tie_free:
             return None
         spec = LtfSpec(weights, 0, TIE_TO_MINUS_ONE)
-    f = materialize(spec)
+        f = materialize(spec)
     # Tie-broken theta=0 functions lean toward -1 and can never be unbiased,
     # so this filter also guarantees tie_free on everything reported.
     if not is_unbiased(f):
@@ -363,7 +362,7 @@ def _evaluate_candidate(weights, *, w1_majority, require_tie_free):
         unbiased=True,
         monotone=is_monotone(f),
         odd=is_odd(f),
-        tie_free=witness is None,
+        tie_free=spec.tie_policy == TIE_REJECT,
         table_hex=f.to_hex(),
     )
 
@@ -390,6 +389,8 @@ def search_counterexamples(
         raise ValueError("max_weight must be at least 1")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers capped at {MAX_WORKERS}, got {workers}")
     w1_majority = degree_weight(wht(majority(n)), 1)
     vectors = list(canonical_weight_vectors(n, max_weight))
     job = partial(

@@ -42,6 +42,18 @@ def _check_index(j: int, n: int) -> None:
         raise IndexError(f"input index {j} out of range for arity {n}")
 
 
+def low_half_mask(size: int, stride: int) -> int:
+    """Bit mask over [0, size) selecting indices whose ``stride`` bit is clear.
+
+    ``stride`` is a power of two below ``size``; ANDing a packed table with
+    the mask keeps the bit-clear end of every coordinate edge (j, j + stride).
+    """
+    period = 2 * stride
+    unit = (1 << stride) - 1
+    repunit = ((1 << size) - 1) // ((1 << period) - 1)
+    return unit * repunit
+
+
 def index_to_signs(j: int, n: int) -> tuple[int, ...]:
     """Decode index j to its point (x_1, ..., x_n) with entries +-1."""
     _check_arity(n)

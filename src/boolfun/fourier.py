@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ORACLE_MAX_ARITY, BooleanFunction
+from .core import ORACLE_MAX_ARITY, BooleanFunction, low_half_mask
 
 __all__ = [
     "FourierExpansion",
@@ -56,7 +56,12 @@ class FourierExpansion:
 
 @dataclass(frozen=True)
 class StabilityPolynomial:
-    """Degree weights W_0..W_n viewed as the polynomial sum_k W_k rho^k."""
+    """The polynomial sum_k c_k rho^k with exact coefficients c_0..c_n.
+
+    It holds any coefficients; the degree weights W_0..W_n, whose polynomial
+    is the noise stability Stab_rho, are one case, and the difference of two
+    stability polynomials is another.
+    """
 
     weights: tuple[Fraction, ...]
 
@@ -165,9 +170,7 @@ def influence(f: BooleanFunction, i: int) -> Fraction:
     if not 1 <= i <= f.n:
         raise ValueError(f"coordinate {i} out of range 1..{f.n}")
     stride = 1 << (i - 1)
-    period = 2 * stride
-    unit = (1 << stride) - 1
-    m = unit * (((1 << f.size) - 1) // ((1 << period) - 1))
+    m = low_half_mask(f.size, stride)
     flipped = ((f.table >> stride) & m) | ((f.table & m) << stride)
     return Fraction((f.table ^ flipped).bit_count(), f.size)
 

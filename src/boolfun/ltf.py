@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ARITY, BooleanFunction, index_to_signs
+from .core import MAX_ARITY, BooleanFunction, index_to_signs, low_half_mask
 
 TIE_REJECT = "reject"
 TIE_TO_MINUS_ONE = "map_to_minus_one"
@@ -23,6 +23,7 @@ TIE_TO_MINUS_ONE = "map_to_minus_one"
 __all__ = [
     "TIE_REJECT",
     "TIE_TO_MINUS_ONE",
+    "COUNTEREXAMPLE_WEIGHTS",
     "LtfSpec",
     "TieEncountered",
     "counterexample",
@@ -112,19 +113,24 @@ def _weighted_sums(spec: LtfSpec) -> np.ndarray:
     return sums
 
 
+def _first_tie(sums: np.ndarray, theta: int) -> int | None:
+    """Smallest input index whose weighted sum equals theta, or None."""
+    hits = np.nonzero(sums == theta)[0]
+    return int(hits[0]) if hits.size else None
+
+
 def tie_witness(spec: LtfSpec) -> int | None:
     """Smallest input index with w . x = theta, or None if tie-free."""
-    hits = np.nonzero(_weighted_sums(spec) == spec.threshold)[0]
-    return int(hits[0]) if hits.size else None
+    return _first_tie(_weighted_sums(spec), spec.threshold)
 
 
 def materialize(spec: LtfSpec) -> BooleanFunction:
     """Truth table of sign(w . x - theta) under the spec's tie policy."""
     sums = _weighted_sums(spec)
     if spec.tie_policy == TIE_REJECT:
-        hits = np.nonzero(sums == spec.threshold)[0]
-        if hits.size:
-            raise TieEncountered(spec, int(hits[0]))
+        tie = _first_tie(sums, spec.threshold)
+        if tie is not None:
+            raise TieEncountered(spec, tie)
     signs = np.where(sums > spec.threshold, 1, -1).astype(np.int8)
     return BooleanFunction.from_signs(signs)
 
@@ -151,14 +157,6 @@ def counterexample() -> BooleanFunction:
     return materialize(counterexample_spec())
 
 
-def _half_mask(size: int, stride: int) -> int:
-    """Bit mask over [0, size) selecting indices whose ``stride`` bit is clear."""
-    period = 2 * stride
-    unit = (1 << stride) - 1
-    repunit = ((1 << size) - 1) // ((1 << period) - 1)
-    return unit * repunit
-
-
 def is_unbiased(f: BooleanFunction) -> bool:
     """True iff exactly half the inputs map to +1 (E[f] = 0)."""
     return f.ones() * 2 == f.size
@@ -178,7 +176,7 @@ def is_monotone(f: BooleanFunction) -> bool:
     """
     for i in range(f.n):
         stride = 1 << i
-        m = _half_mask(f.size, stride)
+        m = low_half_mask(f.size, stride)
         low = f.table & m
         high = (f.table >> stride) & m
         if low & ~high:

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+from boolfun import conjecture
 from boolfun.cli import main
 
 
@@ -191,6 +192,19 @@ def test_search_parallel_files_byte_identical(tmp_path, capsys):
 def test_search_even_arity_exit_2(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "search", "4", "2", "--out", str(tmp_path / "x.json"))
     assert code == 2
+
+
+def test_search_parallel_over_cap_exit_2(tmp_path, capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    monkeypatch.setattr(conjecture, "ProcessPoolExecutor", no_pool)
+    code, _, err = run_cli(
+        capsys, "search", "5", "2", "--parallel", "100000", "--out", str(tmp_path / "x.json")
+    )
+    assert code == 2
+    assert "capped" in err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_search_io_failure_exit_4(tmp_path, capsys):

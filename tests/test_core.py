@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import boolfun
 from boolfun import (
     BooleanFunction,
     complement_index,
@@ -14,6 +15,7 @@ from boolfun import (
     parse_spec,
     signs_to_index,
 )
+from boolfun.core import low_half_mask
 
 from helpers import random_function
 
@@ -168,3 +170,21 @@ def test_bias_and_ones():
     assert counterexample().ones() == 16
     assert counterexample().bias() == 0
     assert BooleanFunction(2, 0b1111).bias() == 1
+
+
+def test_low_half_mask_selects_bit_clear_indices():
+    for n in range(1, 7):
+        size = 1 << n
+        for i in range(n):
+            stride = 1 << i
+            expected = sum(1 << j for j in range(size) if not j & stride)
+            assert low_half_mask(size, stride) == expected
+
+
+def test_package_exports_resolve_once_each():
+    names = boolfun.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(boolfun, name)
+    assert "COUNTEREXAMPLE_WEIGHTS" in names
+    assert boolfun.COUNTEREXAMPLE_WEIGHTS == (2, 2, 1, 1, 1)
