@@ -27,6 +27,7 @@ from .ltf import (
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
     TieEncountered,
+    _materialize_with_tie,
     counterexample,
     is_monotone,
     is_odd,
@@ -34,7 +35,6 @@ from .ltf import (
     materialize,
     parse_spec,
     render_spec,
-    tie_witness,
 )
 
 EXIT_OK = 0
@@ -86,7 +86,7 @@ def _comparison_display(lhs: Fraction, rhs: Fraction) -> dict:
 
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec, args.tie_policy)
-    f = materialize(spec)
+    f, tie = _materialize_with_tie(spec)
     e = wht(f)
     poly = stability_polynomial(e)
     weight_fields = [fraction_fields(w) for w in poly.weights]
@@ -94,8 +94,7 @@ def cmd_analyze(args) -> int:
         "arity": f.n,
         "weights": list(spec.weights),
         "threshold": spec.threshold,
-        "tie_broken": spec.tie_policy == TIE_TO_MINUS_ONE
-        and tie_witness(spec) is not None,
+        "tie_broken": tie is not None,
         "table_hex": f.to_hex(),
         "ones": f.ones(),
         "bias": fraction_fields(f.bias()),

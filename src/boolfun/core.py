@@ -47,11 +47,16 @@ def low_half_mask(size: int, stride: int) -> int:
 
     ``stride`` is a power of two below ``size``; ANDing a packed table with
     the mask keeps the bit-clear end of every coordinate edge (j, j + stride).
+    Built by doubling from the ``stride`` low bits, each step ORing in a copy
+    shifted by the current width: O(size * log(size / stride)) bit operations,
+    where dividing out the equivalent repunit would cost O(size * stride).
     """
-    period = 2 * stride
-    unit = (1 << stride) - 1
-    repunit = ((1 << size) - 1) // ((1 << period) - 1)
-    return unit * repunit
+    mask = (1 << stride) - 1
+    width = 2 * stride
+    while width < size:
+        mask |= mask << width
+        width *= 2
+    return mask
 
 
 def index_to_signs(j: int, n: int) -> tuple[int, ...]:

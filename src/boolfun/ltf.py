@@ -124,15 +124,19 @@ def tie_witness(spec: LtfSpec) -> int | None:
     return _first_tie(_weighted_sums(spec), spec.threshold)
 
 
+def _materialize_with_tie(spec: LtfSpec) -> tuple[BooleanFunction, int | None]:
+    """The table of ``materialize`` plus ``tie_witness``, from one pass of sums."""
+    sums = _weighted_sums(spec)
+    tie = _first_tie(sums, spec.threshold)
+    if tie is not None and spec.tie_policy == TIE_REJECT:
+        raise TieEncountered(spec, tie)
+    signs = np.where(sums > spec.threshold, 1, -1).astype(np.int8)
+    return BooleanFunction.from_signs(signs), tie
+
+
 def materialize(spec: LtfSpec) -> BooleanFunction:
     """Truth table of sign(w . x - theta) under the spec's tie policy."""
-    sums = _weighted_sums(spec)
-    if spec.tie_policy == TIE_REJECT:
-        tie = _first_tie(sums, spec.threshold)
-        if tie is not None:
-            raise TieEncountered(spec, tie)
-    signs = np.where(sums > spec.threshold, 1, -1).astype(np.int8)
-    return BooleanFunction.from_signs(signs)
+    return _materialize_with_tie(spec)[0]
 
 
 def majority(n: int) -> BooleanFunction:

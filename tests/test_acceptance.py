@@ -208,3 +208,19 @@ def test_criterion_8b_search_performance_floor():
     with criterion("8b", "parallel search at n=7, weights to 3", 300.0):
         results = search_counterexamples(7, 3, workers=4)
     assert all(r.margin > 0 for r in results)
+
+
+def test_criterion_8c_analyze_at_arity_cap(capsys):
+    spec = ",".join(str(w) for w in range(1, 24)) + ",25"  # positive, odd sum
+    with criterion("8c", "analyze at n=24", 60.0):
+        code = main(["analyze", spec])
+        out = capsys.readouterr().out
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["arity"] == 24 and results["monotone"] is True
+        weights = [Fraction(w["exact"]) for w in results["degree_weights"]]
+        infs = [Fraction(x["exact"]) for x in results["influences"]]
+        assert sum(weights) == 1
+        assert sum(infs) == sum(k * w for k, w in enumerate(weights))
+        assert sum(x * x for x in infs) == weights[1]  # monotone: fhat({i}) = Inf_i
+    print(capsys.readouterr().out.splitlines()[-1])

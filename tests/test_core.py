@@ -181,6 +181,29 @@ def test_low_half_mask_selects_bit_clear_indices():
             assert low_half_mask(size, stride) == expected
 
 
+def repunit_mask(size: int, stride: int) -> int:
+    """The mask as (2^stride - 1) times a repunit, by big-int division (slow)."""
+    return ((1 << stride) - 1) * (((1 << size) - 1) // ((1 << (2 * stride)) - 1))
+
+
+def test_low_half_mask_matches_repunit_division():
+    for n in range(1, 17):
+        size = 1 << n
+        for i in range(n):
+            assert low_half_mask(size, 1 << i) == repunit_mask(size, 1 << i)
+
+
+def test_low_half_mask_partitions_edges_at_arity_cap():
+    size = 1 << 24
+    full = (1 << size) - 1
+    for i in range(24):  # i = 23 is stride = size / 2, where no doubling step runs
+        stride = 1 << i
+        mask = low_half_mask(size, stride)
+        assert mask.bit_count() == size // 2
+        assert mask & (mask << stride) == 0
+        assert mask | (mask << stride) == full
+
+
 def test_package_exports_resolve_once_each():
     names = boolfun.__all__
     assert len(names) == len(set(names))

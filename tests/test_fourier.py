@@ -180,6 +180,15 @@ def test_influence_two_paths_agree():
             assert influence(f, i) == influence_from_spectrum(e, i)
 
 
+def test_influence_matches_edge_count_at_arity_cap():
+    f = random_function(24, np.random.default_rng(24))
+    signs = f.signs()
+    for i in (1, 12, 24):
+        edges = signs.reshape(-1, 2, 1 << (i - 1))
+        disagreements = int(np.count_nonzero(edges[:, 0, :] != edges[:, 1, :]))
+        assert influence(f, i) == Fraction(2 * disagreements, f.size)
+
+
 def test_degree_weights():
     assert degree_weight(wht(majority(5)), 1) == Fraction(45, 64)
     assert degree_weight(wht(counterexample()), 1) == Fraction(44, 64)

@@ -90,6 +90,11 @@ def test_is_monotone():
     assert is_monotone(BooleanFunction.from_signs(signs))
 
 
+def test_is_monotone_finds_the_top_coordinate_at_arity_cap():
+    # |w|_1 = 25 is odd, so the spec is tie-free; only x_24 lowers f.
+    assert not is_monotone(materialize(LtfSpec((1,) * 23 + (-2,))))
+
+
 def test_positive_odd_sum_specs_are_monotone_odd_tie_free():
     rng = np.random.default_rng(11)
     for _ in range(25):
