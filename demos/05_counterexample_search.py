@@ -1,10 +1,12 @@
 """Searching small weight vectors for functions less stable than majority.
 
 The search walks canonical weight vectors (nonincreasing, entries in
-[1, max_weight], gcd 1), materializes each threshold function, keeps the
-unbiased ones, and reports every W_1 strictly below majority's. Coordinate
-permutations and sign flips never change degree weights and common scaling
-never changes the function, so the canonical slice is exhaustive.
+[1, max_weight], gcd 1) in blocks, computes every block's weighted sums and
+Chow vectors with two matrix products instead of a truth table per vector,
+keeps the unbiased ones, and reports every W_1 strictly below majority's.
+Coordinate permutations and sign flips never change degree weights and
+common scaling never changes the function, so the canonical slice is
+exhaustive.
 """
 
 from boolfun import canonical_weight_vectors, materialize, search_counterexamples

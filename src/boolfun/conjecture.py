@@ -13,7 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, islice
+
+import numpy as np
 
 from .core import BooleanFunction
 from .fourier import (
@@ -28,13 +30,11 @@ from .ltf import (
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
     LtfSpec,
-    TieEncountered,
     counterexample,
     is_monotone,
-    is_odd,
     is_unbiased,
     majority,
-    materialize,
+    materialize,  # unused here; perfbench/test_perfbench.py checks this binding
 )
 
 VERDICT_REFUTES = "refutes_at_small_rho"
@@ -42,6 +42,12 @@ VERDICT_CONSISTENT = "consistent"
 VERDICT_INDETERMINATE = "indeterminate"
 
 SEARCH_MAX_ARITY = 9
+# Upper bound on the nonincreasing vectors a search may enumerate,
+# C(n + max_weight - 1, n); (9, 15) is the largest admitted at n = 9.
+SEARCH_MAX_VECTORS = 10**6
+# Vectors per screened block: the block's temporaries hold
+# SEARCH_BLOCK * 2^n int64 entries each, 1 MiB at n = 9.
+SEARCH_BLOCK = 256
 # Each search worker is a separate interpreter with numpy loaded, so the
 # worker count is bounded like every other user-controlled size.
 MAX_WORKERS = 32
@@ -54,6 +60,7 @@ __all__ = [
     "BRACKET_WIDTH",
     "MAX_WORKERS",
     "SEARCH_MAX_ARITY",
+    "SEARCH_MAX_VECTORS",
     "VERDICT_CONSISTENT",
     "VERDICT_INDETERMINATE",
     "VERDICT_REFUTES",
@@ -337,34 +344,43 @@ def canonical_weight_vectors(n: int, max_weight: int):
             yield w
 
 
-def _evaluate_candidate(weights, *, w1_majority, require_tie_free):
-    spec = LtfSpec(weights)
-    try:
-        f = materialize(spec)
-    except TieEncountered:
-        if require_tie_free:
-            return None
-        spec = LtfSpec(weights, 0, TIE_TO_MINUS_ONE)
-        f = materialize(spec)
-    # Tie-broken theta=0 functions lean toward -1 and can never be unbiased,
-    # so this filter also guarantees tie_free on everything reported.
-    if not is_unbiased(f):
-        return None
-    w1 = degree_weight(wht(f), 1)
-    margin = w1_majority - w1
-    if margin <= 0:
-        return None
-    return SearchResult(
-        spec=spec,
-        w1=w1,
-        w1_majority=w1_majority,
-        margin=margin,
-        unbiased=True,
-        monotone=is_monotone(f),
-        odd=is_odd(f),
-        tie_free=spec.tie_policy == TIE_REJECT,
-        table_hex=f.to_hex(),
-    )
+def _screen_block(block, *, w1_bar, require_tie_free):
+    """Screen a block of weight vectors at once; one plain tuple per survivor.
+
+    Each row of ``sums`` is the weighted sum over the cube in core index
+    order, so ``signs`` is the ``map_to_minus_one`` table (+1 iff w . x > 0)
+    and ``signs @ cube`` is 2^n times the level-1 (Chow) coefficients.
+    A tie-broken theta=0 table leans toward -1 and can never be unbiased, so
+    the unbiased filter also keeps every survivor tie-free.
+
+    int64 is exact here: |w . x| <= n * max_weight, which is at most 9 * 10^6
+    inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS; |chow_i| <= 2^n and, by
+    Parseval, sum_i chow_i^2 <= 4^n. All are far below 2^63.
+    The result tuples are (weights, tie, 4^n * W_1, monotone, odd, table hex).
+    """
+    n = len(block[0])
+    size = 1 << n
+    cube = ((np.arange(size)[:, None] >> np.arange(n)) & 1) * 2 - 1
+    sums = np.array(block, dtype=np.int64) @ cube.T
+    tie = (sums == 0).any(axis=1)
+    signs = np.where(sums > 0, 1, -1)
+    chow = signs @ cube
+    w1_scaled = (chow * chow).sum(axis=1)
+    keep = (2 * (signs > 0).sum(axis=1) == size) & (w1_scaled < w1_bar)
+    if require_tie_free:
+        keep &= ~tie
+    rows = np.flatnonzero(keep)
+    signs = signs[rows]
+    odd = (signs == -signs[:, ::-1]).all(axis=1)
+    monotone = np.ones(rows.size, dtype=bool)
+    for i in range(n):
+        edges = signs.reshape(rows.size, size >> (i + 1), 2, 1 << i)
+        monotone &= (edges[:, :, 0] <= edges[:, :, 1]).all(axis=(1, 2))
+    tables = np.packbits(signs > 0, axis=1, bitorder="little")
+    return [
+        (block[r], bool(tie[r]), int(w1_scaled[r]), bool(m), bool(o), t.tobytes().hex())
+        for r, m, o, t in zip(rows, monotone, odd, tables)
+    ]
 
 
 def search_counterexamples(
@@ -375,11 +391,14 @@ def search_counterexamples(
 ) -> list[SearchResult]:
     """Exhaust canonical weight vectors and report every W_1 beat of Maj_n.
 
-    Results are deduplicated on the materialized truth table (distinct weight
-    vectors can define the same function) and sorted by margin descending,
-    ties broken by the weight tuple, so the output is deterministic for any
-    worker count. Workers shard the vector list as pure tasks; the merge
-    preserves enumeration order before deduplication.
+    Vectors are screened in blocks of ``SEARCH_BLOCK`` with no truth table
+    built per candidate. Results are deduplicated on the truth table
+    (distinct weight vectors can define the same function; the first in
+    enumeration order wins) and sorted by margin descending, ties broken by
+    the weight tuple, so the output is deterministic for any worker count.
+    Workers screen whole blocks as pure tasks; the merge preserves
+    enumeration order before deduplication. A search over more than
+    ``SEARCH_MAX_VECTORS`` nonincreasing vectors is refused up front.
     """
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise ValueError(f"search needs a positive odd arity, got {n!r}")
@@ -391,25 +410,46 @@ def search_counterexamples(
         raise ValueError("workers must be at least 1")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers capped at {MAX_WORKERS}, got {workers}")
+    count = math.comb(n + max_weight - 1, n)
+    if count > SEARCH_MAX_VECTORS:
+        raise ValueError(
+            f"search ({n}, {max_weight}) would enumerate up to {count} weight "
+            f"vectors, over the limit of {SEARCH_MAX_VECTORS}"
+        )
+    scale = 4**n
     w1_majority = degree_weight(wht(majority(n)), 1)
-    vectors = list(canonical_weight_vectors(n, max_weight))
+    vectors = canonical_weight_vectors(n, max_weight)
+    blocks = iter(lambda: list(islice(vectors, SEARCH_BLOCK)), [])
     job = partial(
-        _evaluate_candidate,
-        w1_majority=w1_majority,
+        _screen_block,
+        w1_bar=int(w1_majority * scale),
         require_tie_free=require_tie_free,
     )
     if workers == 1:
-        raw = [job(v) for v in vectors]
+        screened = map(job, blocks)
     else:
-        chunk = max(1, len(vectors) // (workers * 4))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(job, vectors, chunksize=chunk))
+            screened = list(pool.map(job, blocks))
     seen = set()
     merged = []
-    for result in raw:
-        if result is None or result.table_hex in seen:
+    survivors = chain.from_iterable(screened)
+    for weights, tie, w1_scaled, monotone, odd, table_hex in survivors:
+        if table_hex in seen:
             continue
-        seen.add(result.table_hex)
-        merged.append(result)
+        seen.add(table_hex)
+        w1 = Fraction(w1_scaled, scale)
+        merged.append(
+            SearchResult(
+                spec=LtfSpec(weights, 0, TIE_TO_MINUS_ONE if tie else TIE_REJECT),
+                w1=w1,
+                w1_majority=w1_majority,
+                margin=w1_majority - w1,
+                unbiased=True,
+                monotone=monotone,
+                odd=odd,
+                tie_free=not tie,
+                table_hex=table_hex,
+            )
+        )
     merged.sort(key=lambda r: (-r.margin, r.spec.weights))
     return merged

@@ -2,7 +2,22 @@
 
 import numpy as np
 
-from boolfun import BooleanFunction, LtfSpec
+from boolfun import (
+    TIE_REJECT,
+    TIE_TO_MINUS_ONE,
+    BooleanFunction,
+    LtfSpec,
+    SearchResult,
+    TieEncountered,
+    canonical_weight_vectors,
+    degree_weight,
+    is_monotone,
+    is_odd,
+    is_unbiased,
+    majority,
+    materialize,
+    wht,
+)
 
 
 def random_function(n: int, rng) -> BooleanFunction:
@@ -44,3 +59,46 @@ def mask_image(mask: int, perm) -> int:
         if (mask >> (i - 1)) & 1:
             out |= 1 << (target - 1)
     return out
+
+
+def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> list:
+    """The weight search one candidate at a time, through full truth tables.
+
+    Each canonical vector is materialized (tie-broken to -1 when ties are
+    allowed) and screened with ``wht`` + ``degree_weight``; survivors get
+    their flags from the table predicates. Deduplication keeps the first
+    table in enumeration order and the sort matches the library's, so the
+    result must equal ``search_counterexamples`` exactly.
+    """
+    w1_majority = degree_weight(wht(majority(n)), 1)
+    seen, results = set(), []
+    for weights in canonical_weight_vectors(n, max_weight):
+        spec = LtfSpec(weights)
+        try:
+            f = materialize(spec)
+        except TieEncountered:
+            if require_tie_free:
+                continue
+            spec = LtfSpec(weights, 0, TIE_TO_MINUS_ONE)
+            f = materialize(spec)
+        if not is_unbiased(f):
+            continue
+        w1 = degree_weight(wht(f), 1)
+        if w1 >= w1_majority or f.to_hex() in seen:
+            continue
+        seen.add(f.to_hex())
+        results.append(
+            SearchResult(
+                spec=spec,
+                w1=w1,
+                w1_majority=w1_majority,
+                margin=w1_majority - w1,
+                unbiased=True,
+                monotone=is_monotone(f),
+                odd=is_odd(f),
+                tie_free=spec.tie_policy == TIE_REJECT,
+                table_hex=f.to_hex(),
+            )
+        )
+    results.sort(key=lambda r: (-r.margin, r.spec.weights))
+    return results

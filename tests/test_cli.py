@@ -1,6 +1,8 @@
 """Command-line contract: reports, files, and every exit code."""
 
+import hashlib
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -205,6 +207,34 @@ def test_search_parallel_over_cap_exit_2(tmp_path, capsys, monkeypatch):
     assert code == 2
     assert "capped" in err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_search_over_vector_limit_exit_2(tmp_path, capsys, monkeypatch):
+    def no_enumeration(n, max_weight):
+        raise AssertionError("weight vectors were enumerated")
+        yield
+
+    monkeypatch.setattr(conjecture, "canonical_weight_vectors", no_enumeration)
+    code, _, err = run_cli(capsys, "search", "9", "1000", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert str(math.comb(9 + 1000 - 1, 9)) in err
+    assert str(conjecture.SEARCH_MAX_VECTORS) in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_search_vector_limit_edge_at_arity_cap():
+    # The documented edge: (9, 15) is the largest admitted search at n = 9.
+    assert math.comb(9 + 15 - 1, 9) <= conjecture.SEARCH_MAX_VECTORS
+    assert math.comb(9 + 16 - 1, 9) > conjecture.SEARCH_MAX_VECTORS
+
+
+def test_search_9_8_results_file_digest(tmp_path, capsys):
+    out_path = tmp_path / "search.json"
+    code, _, _ = run_cli(capsys, "search", "9", "8", "--parallel", "2", "--out", str(out_path))
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "4280e09793f3f4464bbabf6b7141feeaca9bf094b6ac421a0b9873fd4531d2bc"
+    )
 
 
 def test_search_io_failure_exit_4(tmp_path, capsys):

@@ -17,6 +17,8 @@ from boolfun import (
     counterexample,
     crossover_scan,
     degree_weight,
+    is_monotone,
+    is_odd,
     majority,
     materialize,
     naive_expansion,
@@ -24,7 +26,7 @@ from boolfun import (
     verify_counterexample,
     wht,
 )
-from boolfun import ltf
+from boolfun import conjecture, ltf
 from boolfun.conjecture import (
     BRACKET_WIDTH,
     VERDICT_CONSISTENT,
@@ -32,7 +34,7 @@ from boolfun.conjecture import (
     VERDICT_REFUTES,
 )
 
-from helpers import random_function
+from helpers import random_function, search_oracle
 
 
 def test_compare_identical_functions():
@@ -252,7 +254,7 @@ def test_search_validation():
         search_counterexamples(5, 2, workers=0)
 
 
-def test_search_one_weighted_sums_pass_per_candidate(monkeypatch):
+def test_search_materializes_only_majority(monkeypatch):
     passes = []
     original = ltf._weighted_sums
 
@@ -261,10 +263,44 @@ def test_search_one_weighted_sums_pass_per_candidate(monkeypatch):
         return original(spec)
 
     monkeypatch.setattr(ltf, "_weighted_sums", counting)
-    search_counterexamples(7, 3)
-    # Each canonical vector once, plus Maj_7's own table for the W_1 bar.
-    expected = list(canonical_weight_vectors(7, 3)) + [(1,) * 7]
-    assert sorted(passes) == sorted(expected)
+    assert search_counterexamples(7, 3)
+    # Maj_7's table for the W_1 bar is the only one built one at a time.
+    assert passes == [(1,) * 7]
+
+
+@pytest.mark.parametrize("require_tie_free", [True, False])
+@pytest.mark.parametrize("n, max_weight", [(3, 5), (5, 2), (5, 3), (7, 3), (7, 5), (9, 4)])
+def test_search_matches_per_candidate_oracle(n, max_weight, require_tie_free):
+    assert search_counterexamples(
+        n, max_weight, require_tie_free=require_tie_free
+    ) == search_oracle(n, max_weight, require_tie_free)
+
+
+def test_screen_block_flags_match_table_predicates():
+    # Signed weights give non-monotone rows, which canonical vectors never do;
+    # a bar above 4^n keeps every unbiased row.
+    rng = np.random.default_rng(7)
+    for n in (3, 5, 7):
+        block = [tuple(int(w) for w in rng.integers(-4, 5, size=n)) for _ in range(300)]
+        block = [w for w in block if sum(w) % 2]
+        rows = conjecture._screen_block(block, w1_bar=4**n + 1, require_tie_free=True)
+        expected = []
+        for weights in block:
+            f = materialize(LtfSpec(weights))
+            if f.ones() * 2 == f.size:
+                w1 = degree_weight(wht(f), 1) * 4**n
+                expected.append(
+                    (weights, False, w1, is_monotone(f), is_odd(f), f.to_hex())
+                )
+        assert rows == expected
+        assert {row[3] for row in rows} == {True, False}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_workers_match_per_candidate_oracle(workers):
+    expected = search_oracle(7, 3)
+    assert expected
+    assert search_counterexamples(7, 3, workers=workers) == expected
 
 
 def test_search_canonicalization_soundness_n5_w2():
