@@ -52,12 +52,20 @@ SEARCH_BLOCK = 256
 # worker count is bounded like every other user-controlled size.
 MAX_WORKERS = 32
 
+# Largest rho grid (intervals) that compare_stability and crossover_scan
+# accept; it must stay >= 4096, the crossover_scan default. Each sample is
+# one exact evaluation of the difference polynomial, and `compare` evaluates
+# both curves again for its CSV rows: at 2^16 and n = 24 that is ~4 s on
+# 2 cores of an x86 host, on top of the ~7 s the command takes at grid 256.
+MAX_GRID = 2**16
+
 # Sign-change brackets are narrowed to this width; they localize roots of the
 # difference polynomial, they do not prove isolation.
 BRACKET_WIDTH = Fraction(1, 2**40)
 
 __all__ = [
     "BRACKET_WIDTH",
+    "MAX_GRID",
     "MAX_WORKERS",
     "SEARCH_MAX_ARITY",
     "SEARCH_MAX_VECTORS",
@@ -135,6 +143,10 @@ def _sampled_difference(candidate, reference, points: int):
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
     if points < 2:
         raise ValueError(f"a rho grid needs at least 2 intervals, got {points}")
+    if points > MAX_GRID:
+        raise ValueError(
+            f"a rho grid of {points} intervals is over the limit of {MAX_GRID}"
+        )
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
     diff = StabilityPolynomial(

@@ -12,9 +12,10 @@ int64 range, so the numpy fast paths are exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,17 +70,36 @@ class StabilityPolynomial:
     def degree(self) -> int:
         return len(self.weights) - 1
 
+    @cached_property
+    def _integer_form(self) -> tuple[tuple[int, ...], int]:
+        """(a_0..a_n, L) with c_k = a_k / L and L the lcm of the denominators."""
+        denom = math.lcm(*(w.denominator for w in self.weights))
+        return tuple(w.numerator * (denom // w.denominator) for w in self.weights), denom
+
     def evaluate(self, rho) -> Fraction:
-        """Exact Horner evaluation at rational rho.
+        """Exact Horner evaluation at rational rho, in integers.
+
+        With c_k = a_k / L over the common denominator L (4^n for a stability
+        polynomial or a difference of two) and rho = p/q in lowest terms,
+        P(p/q) = (sum_k a_k p^k q^(n-k)) / (L q^n). Horner runs on that
+        integer numerator, acc = acc*p + a_k q^(n-k), with no gcd per step;
+        the one Fraction built at the end reduces it, so the result is the
+        exact value in lowest terms, equal to a Fraction Horner's.
 
         Values outside [0, 1] are allowed; they fall outside the noise
         interpretation and reporting layers flag them as such.
         """
         rho = Fraction(rho)
-        acc = Fraction(0)
-        for w in reversed(self.weights):
-            acc = acc * rho + w
-        return acc
+        if not self.weights:
+            return Fraction(0)
+        p, q = rho.numerator, rho.denominator
+        numerators, denom = self._integer_form
+        acc = numerators[-1]
+        q_power = 1
+        for a in reversed(numerators[:-1]):
+            q_power *= q
+            acc = acc * p + a * q_power
+        return Fraction(acc, denom * q_power)
 
 
 def _forward_butterfly(vec: np.ndarray) -> None:

@@ -1,4 +1,6 @@
-"""Shared randomized generators for the test suite."""
+"""Shared randomized generators and slow reference paths for the test suite."""
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,6 +61,19 @@ def mask_image(mask: int, perm) -> int:
         if (mask >> (i - 1)) & 1:
             out |= 1 << (target - 1)
     return out
+
+
+def horner_oracle(weights, rho) -> Fraction:
+    """sum_k weights[k] rho^k by Horner's rule in Fraction arithmetic.
+
+    Every step normalizes with a gcd; this is the slow reference that the
+    integer Horner of ``StabilityPolynomial.evaluate`` must equal exactly.
+    """
+    rho = Fraction(rho)
+    acc = Fraction(0)
+    for w in reversed(weights):
+        acc = acc * rho + w
+    return acc
 
 
 def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> list:

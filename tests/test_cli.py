@@ -7,8 +7,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from boolfun import conjecture
-from boolfun.cli import main
+from boolfun import conjecture, fourier, materialize, parse_spec, stability_polynomial, wht
+from boolfun.cli import decimal17, main
+
+from helpers import horner_oracle
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +128,46 @@ def test_compare_refutes(tmp_path, capsys):
     assert float(row001[3]) > 0
     last = lines[-1].split(",")
     assert last == ["1", "1", "1", "0"]
+
+
+def test_compare_csv_matches_fraction_horner_at_arity_11(tmp_path, capsys):
+    spec_f, spec_g, grid = "5,4,3,3,2,2,2,1,1,1,1", ",".join(["1"] * 11), 512
+    out_csv = tmp_path / "curve.csv"
+    code, _, _ = run_cli(
+        capsys, "compare", spec_f, spec_g, "--grid", str(grid), "--out", str(out_csv)
+    )
+    assert code == 0
+    w_f, w_g = (
+        stability_polynomial(wht(materialize(parse_spec(s)))).weights for s in (spec_f, spec_g)
+    )
+    w_diff = [g - f for f, g in zip(w_f, w_g)]
+    rows = out_csv.read_text().splitlines()[1:]
+    assert len(rows) == grid + 1
+    for t, row in enumerate(rows):
+        rho = Fraction(t, grid)
+        assert row.split(",") == [
+            decimal17(rho),
+            decimal17(horner_oracle(w_f, rho)),
+            decimal17(horner_oracle(w_g, rho)),
+            decimal17(horner_oracle(w_diff, rho)),
+        ]
+
+
+def test_compare_grid_over_limit_exit_2(tmp_path, capsys, monkeypatch):
+    def no_transform(f):
+        raise AssertionError("a spectrum was computed")
+
+    for module in (conjecture, fourier):
+        monkeypatch.setattr(module, "wht", no_transform)
+    over = conjecture.MAX_GRID + 1
+    out_csv = tmp_path / "x.csv"
+    code, _, err = run_cli(
+        capsys, "compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", str(over), "--out", str(out_csv)
+    )
+    assert code == 2
+    assert str(over) in err
+    assert str(conjecture.MAX_GRID) in err
+    assert not out_csv.exists()
 
 
 def test_compare_identical_specs_all_zero_diff(tmp_path, capsys):

@@ -178,6 +178,13 @@ def test_crossover_scan_validation():
         crossover_scan(majority(3), majority(5))
 
 
+def test_crossover_scan_grid_limit_edge():
+    dictator = materialize(LtfSpec((3, 1, 1)))
+    assert crossover_scan(dictator, majority(3), resolution=conjecture.MAX_GRID) == []
+    with pytest.raises(ValueError, match="over the limit"):
+        crossover_scan(dictator, majority(3), resolution=conjecture.MAX_GRID + 1)
+
+
 def test_canonical_weight_vectors():
     vectors = list(canonical_weight_vectors(5, 2))
     assert vectors == [

@@ -3,12 +3,13 @@
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolfun import (
     BooleanFunction,
     LtfSpec,
+    StabilityPolynomial,
     coefficient,
     complement_index,
     flip_coordinate,
@@ -27,7 +28,7 @@ from boolfun import (
     wht,
 )
 
-from helpers import mask_image, negate_subset, random_odd_function
+from helpers import horner_oracle, mask_image, negate_subset, random_odd_function
 
 
 @st.composite
@@ -137,6 +138,36 @@ def test_degree_weights_invariant_under_input_negation(fm):
 @given(boolean_functions(max_n=6), st.sampled_from([Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2), Fraction(9, 10), Fraction(1)]))
 def test_stability_oracle_equals_polynomial(f, rho):
     assert stability_oracle(f, f, rho) == stability_polynomial(wht(f)).evaluate(rho)
+
+
+# Coefficients with unrelated denominators, next to the 4^n-scaled ones a
+# stability polynomial has; up to degree 25, one past the arity cap.
+coefficient_lists = st.lists(
+    st.one_of(
+        st.fractions(max_denominator=10**9),
+        st.integers(-(4**11), 4**11).map(lambda k: Fraction(k, 4**11)),
+    ),
+    max_size=26,
+)
+rho_values = st.one_of(
+    st.integers(-50, 50),
+    st.floats(min_value=-4, max_value=4),
+    st.fractions(max_denominator=10**6),
+    st.fractions(max_denominator=1000).map(str),
+    # Bisection midpoints: dyadics down to 2^-41, both signs, past 1.
+    st.builds(Fraction, st.integers(-(2**42), 2**42), st.integers(0, 41).map(lambda e: 2**e)),
+)
+
+
+@settings(max_examples=300)
+@given(coefficient_lists, rho_values)
+@example([], Fraction(1, 3))
+@example([Fraction(-5, 6)], Fraction(7, 2))
+@example([Fraction(3, 4)], 0)
+def test_integer_horner_equals_fraction_horner(weights, rho):
+    value = StabilityPolynomial(tuple(weights)).evaluate(rho)
+    assert isinstance(value, Fraction)
+    assert value == horner_oracle(weights, rho)
 
 
 @given(boolean_functions(max_n=8))
