@@ -36,9 +36,9 @@ print("  (every unbiased 3-variable threshold function has W_1 >= 3/4 = Maj_3's)
 
 print()
 print("=" * 64)
-print("WIDER NET: n=7, weights up to 3, four workers")
+print("WIDER NET: n=7, weights up to 3")
 print("=" * 64)
-results = search_counterexamples(7, 3, workers=4)
+results = search_counterexamples(7, 3)
 print(f"  {len(results)} distinct functions beat Maj_7's W_1, sorted by margin:")
 for r in results:
     print(f"  {str(r.spec.weights):>24}  margin {str(r.margin):>8}  W_1 = {r.w1}")

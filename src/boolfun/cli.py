@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from . import __version__
 from .conjecture import (
+    MAX_WORKERS,
+    _check_grid,
     compare_stability,
     search_counterexamples,
     verify_counterexample,
@@ -161,13 +163,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_grid(args.grid)
     f = materialize(parse_spec(args.spec_f))
     g = materialize(parse_spec(args.spec_g))
     report = compare_stability(f, g, args.grid)
     lines = ["rho,stab_f,stab_g,diff"]
     for rho, diff in report.grid:
         sf = report.poly_candidate.evaluate(rho)
-        sg = report.poly_reference.evaluate(rho)
+        sg = sf + diff  # diff is Stab_g - Stab_f, exactly
         lines.append(f"{decimal17(rho)},{decimal17(sf)},{decimal17(sg)},{decimal17(diff)}")
     with open(args.out, "w") as handle:
         handle.write("\n".join(lines) + "\n")
@@ -219,15 +222,16 @@ def _search_entry(r) -> dict:
 
 
 def cmd_search(args) -> int:
+    if args.parallel < 1:
+        raise ValueError("workers must be at least 1")
+    if args.parallel > MAX_WORKERS:
+        raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
     results = search_counterexamples(
-        args.n,
-        args.max_weight,
-        require_tie_free=not args.allow_ties,
-        workers=args.parallel,
+        args.n, args.max_weight, require_tie_free=not args.allow_ties
     )
     entries = [_search_entry(r) for r in results]
-    # The results file deliberately omits the worker count: parallelism is an
-    # execution detail and the file is contractually byte-identical across it.
+    # The results file deliberately omits --parallel: it does not change the
+    # search, and the file is contractually byte-identical across it.
     file_doc = _document(
         "search",
         {
@@ -297,7 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("n", type=int, help="odd arity, at most 9")
     search.add_argument("max_weight", type=int, help="largest weight to enumerate")
-    search.add_argument("--parallel", type=int, default=1, help="worker processes")
+    search.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        help=f"1 to {MAX_WORKERS}, echoed only; the search runs in one process",
+    )
     search.add_argument("--out", required=True, help="results document path")
     search.add_argument(
         "--allow-ties",

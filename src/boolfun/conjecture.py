@@ -9,11 +9,9 @@ W_1[f] < W_1[Maj_n] is strictly less stable than majority for small rho.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
@@ -46,17 +44,17 @@ SEARCH_MAX_ARITY = 9
 # C(n + max_weight - 1, n); (9, 15) is the largest admitted at n = 9.
 SEARCH_MAX_VECTORS = 10**6
 # Vectors per screened block: the block's temporaries hold
-# SEARCH_BLOCK * 2^n int64 entries each, 1 MiB at n = 9.
+# SEARCH_BLOCK * 2^n float64 entries each, 1 MiB at n = 9.
 SEARCH_BLOCK = 256
-# Each search worker is a separate interpreter with numpy loaded, so the
-# worker count is bounded like every other user-controlled size.
+# Largest `search --parallel` the CLI accepts; the search runs in one process
+# whatever the value, which is only echoed in the stdout document.
 MAX_WORKERS = 32
 
 # Largest rho grid (intervals) that compare_stability and crossover_scan
 # accept; it must stay >= 4096, the crossover_scan default. Each sample is
 # one exact evaluation of the difference polynomial, and `compare` evaluates
-# both curves again for its CSV rows: at 2^16 and n = 24 that is ~4 s on
-# 2 cores of an x86 host, on top of the ~7 s the command takes at grid 256.
+# the candidate's curve once more per CSV row: at 2^16 and n = 24 that is
+# ~3.5 s on 2 cores of an x86 host, on top of the ~7 s of a grid-256 run.
 MAX_GRID = 2**16
 
 # Sign-change brackets are narrowed to this width; they localize roots of the
@@ -135,18 +133,23 @@ class ComparisonReport:
     small_rho_witness: tuple[Fraction, Fraction] | None  # (rho_0, D(rho_0))
 
 
-def _sampled_difference(candidate, reference, points: int):
-    """Both stability polynomials, D = Stab[reference] - Stab[candidate], and
-    the samples (t/points, D(t/points)) for t = 0..points.
-    """
-    if candidate.n != reference.n:
-        raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
+def _check_grid(points: int) -> None:
+    """Refuse a rho grid outside [2, MAX_GRID] intervals."""
     if points < 2:
         raise ValueError(f"a rho grid needs at least 2 intervals, got {points}")
     if points > MAX_GRID:
         raise ValueError(
             f"a rho grid of {points} intervals is over the limit of {MAX_GRID}"
         )
+
+
+def _sampled_difference(candidate, reference, points: int):
+    """Both stability polynomials, D = Stab[reference] - Stab[candidate], and
+    the samples (t/points, D(t/points)) for t = 0..points.
+    """
+    if candidate.n != reference.n:
+        raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
+    _check_grid(points)
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
     diff = StabilityPolynomial(
@@ -357,7 +360,7 @@ def canonical_weight_vectors(n: int, max_weight: int):
 
 
 def _screen_block(block, *, w1_bar, require_tie_free):
-    """Screen a block of weight vectors at once; one plain tuple per survivor.
+    """Screen a block of weight vectors at once; one tuple per survivor.
 
     Each row of ``sums`` is the weighted sum over the cube in core index
     order, so ``signs`` is the ``map_to_minus_one`` table (+1 iff w . x > 0)
@@ -365,17 +368,20 @@ def _screen_block(block, *, w1_bar, require_tie_free):
     A tie-broken theta=0 table leans toward -1 and can never be unbiased, so
     the unbiased filter also keeps every survivor tie-free.
 
-    int64 is exact here: |w . x| <= n * max_weight, which is at most 9 * 10^6
-    inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS; |chow_i| <= 2^n and, by
-    Parseval, sum_i chow_i^2 <= 4^n. All are far below 2^63.
+    Both products run in float64, which numpy hands to BLAS (it has no BLAS
+    path for int64). They are exact: every entry and every partial sum is an
+    integer, with |w . x| <= n * max_weight (135 at the (9, 15) edge, at
+    most 9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS),
+    |chow_i| <= 2^n and, by Parseval, sum_i chow_i^2 <= 4^n. All are far
+    below 2^53, so no summation order can round.
     The result tuples are (weights, tie, 4^n * W_1, monotone, odd, table hex).
     """
     n = len(block[0])
     size = 1 << n
-    cube = ((np.arange(size)[:, None] >> np.arange(n)) & 1) * 2 - 1
-    sums = np.array(block, dtype=np.int64) @ cube.T
+    cube = ((np.arange(size)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
+    sums = np.array(block, dtype=np.float64) @ cube.T
     tie = (sums == 0).any(axis=1)
-    signs = np.where(sums > 0, 1, -1)
+    signs = np.where(sums > 0, 1.0, -1.0)
     chow = signs @ cube
     w1_scaled = (chow * chow).sum(axis=1)
     keep = (2 * (signs > 0).sum(axis=1) == size) & (w1_scaled < w1_bar)
@@ -396,10 +402,7 @@ def _screen_block(block, *, w1_bar, require_tie_free):
 
 
 def search_counterexamples(
-    n: int,
-    max_weight: int,
-    require_tie_free: bool = True,
-    workers: int = 1,
+    n: int, max_weight: int, require_tie_free: bool = True
 ) -> list[SearchResult]:
     """Exhaust canonical weight vectors and report every W_1 beat of Maj_n.
 
@@ -407,10 +410,8 @@ def search_counterexamples(
     built per candidate. Results are deduplicated on the truth table
     (distinct weight vectors can define the same function; the first in
     enumeration order wins) and sorted by margin descending, ties broken by
-    the weight tuple, so the output is deterministic for any worker count.
-    Workers screen whole blocks as pure tasks; the merge preserves
-    enumeration order before deduplication. A search over more than
-    ``SEARCH_MAX_VECTORS`` nonincreasing vectors is refused up front.
+    the weight tuple, so the output is deterministic. A search over more
+    than ``SEARCH_MAX_VECTORS`` nonincreasing vectors is refused up front.
     """
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise ValueError(f"search needs a positive odd arity, got {n!r}")
@@ -418,10 +419,6 @@ def search_counterexamples(
         raise ValueError(f"exhaustive search capped at arity {SEARCH_MAX_ARITY}")
     if max_weight < 1:
         raise ValueError("max_weight must be at least 1")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers capped at {MAX_WORKERS}, got {workers}")
     count = math.comb(n + max_weight - 1, n)
     if count > SEARCH_MAX_VECTORS:
         raise ValueError(
@@ -431,37 +428,28 @@ def search_counterexamples(
     scale = 4**n
     w1_majority = degree_weight(wht(majority(n)), 1)
     vectors = canonical_weight_vectors(n, max_weight)
-    blocks = iter(lambda: list(islice(vectors, SEARCH_BLOCK)), [])
-    job = partial(
-        _screen_block,
-        w1_bar=int(w1_majority * scale),
-        require_tie_free=require_tie_free,
-    )
-    if workers == 1:
-        screened = map(job, blocks)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            screened = list(pool.map(job, blocks))
+    w1_bar = int(w1_majority * scale)
     seen = set()
     merged = []
-    survivors = chain.from_iterable(screened)
-    for weights, tie, w1_scaled, monotone, odd, table_hex in survivors:
-        if table_hex in seen:
-            continue
-        seen.add(table_hex)
-        w1 = Fraction(w1_scaled, scale)
-        merged.append(
-            SearchResult(
-                spec=LtfSpec(weights, 0, TIE_TO_MINUS_ONE if tie else TIE_REJECT),
-                w1=w1,
-                w1_majority=w1_majority,
-                margin=w1_majority - w1,
-                unbiased=True,
-                monotone=monotone,
-                odd=odd,
-                tie_free=not tie,
-                table_hex=table_hex,
+    for block in iter(lambda: list(islice(vectors, SEARCH_BLOCK)), []):
+        rows = _screen_block(block, w1_bar=w1_bar, require_tie_free=require_tie_free)
+        for weights, tie, w1_scaled, monotone, odd, table_hex in rows:
+            if table_hex in seen:
+                continue
+            seen.add(table_hex)
+            w1 = Fraction(w1_scaled, scale)
+            merged.append(
+                SearchResult(
+                    spec=LtfSpec(weights, 0, TIE_TO_MINUS_ONE if tie else TIE_REJECT),
+                    w1=w1,
+                    w1_majority=w1_majority,
+                    margin=w1_majority - w1,
+                    unbiased=True,
+                    monotone=monotone,
+                    odd=odd,
+                    tie_free=not tie,
+                    table_hex=table_hex,
+                )
             )
-        )
     merged.sort(key=lambda r: (-r.margin, r.spec.weights))
     return merged

@@ -184,16 +184,13 @@ def test_criterion_6_search_soundness_and_completeness():
 
 
 def test_criterion_7_search_determinism(tmp_path, capsys):
-    with criterion(7, "byte-identical search results for 1 vs 8 workers"):
+    with criterion(7, "byte-identical search results for --parallel 1 vs 8"):
         serial = tmp_path / "serial.json"
         parallel = tmp_path / "parallel.json"
         assert main(["search", "5", "2", "--out", str(serial)]) == 0
         assert main(["search", "5", "2", "--parallel", "8", "--out", str(parallel)]) == 0
         capsys.readouterr()  # swallow the stdout reports; the files are the artifact
         assert serial.read_bytes() == parallel.read_bytes()
-        assert search_counterexamples(7, 3, workers=1) == search_counterexamples(
-            7, 3, workers=8
-        )
 
 
 def test_criterion_8a_transform_performance_floor():
@@ -205,8 +202,8 @@ def test_criterion_8a_transform_performance_floor():
 
 
 def test_criterion_8b_search_performance_floor():
-    with criterion("8b", "parallel search at n=7, weights to 3", 300.0):
-        results = search_counterexamples(7, 3, workers=4)
+    with criterion("8b", "search at n=7, weights to 3", 300.0):
+        results = search_counterexamples(7, 3)
     assert all(r.margin > 0 for r in results)
 
 

@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from boolfun import conjecture, fourier, materialize, parse_spec, stability_polynomial, wht
+from boolfun import cli, conjecture, fourier, materialize, parse_spec, stability_polynomial, wht
 from boolfun.cli import decimal17, main
 
 from helpers import horner_oracle
@@ -157,8 +157,12 @@ def test_compare_grid_over_limit_exit_2(tmp_path, capsys, monkeypatch):
     def no_transform(f):
         raise AssertionError("a spectrum was computed")
 
+    def no_table(spec):
+        raise AssertionError("a table was built")
+
     for module in (conjecture, fourier):
         monkeypatch.setattr(module, "wht", no_transform)
+    monkeypatch.setattr(cli, "materialize", no_table)
     over = conjecture.MAX_GRID + 1
     out_csv = tmp_path / "x.csv"
     code, _, err = run_cli(
@@ -238,16 +242,21 @@ def test_search_even_arity_exit_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_search_parallel_over_cap_exit_2(tmp_path, capsys, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was constructed")
-
-    monkeypatch.setattr(conjecture, "ProcessPoolExecutor", no_pool)
+def test_search_parallel_over_cap_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "search", "5", "2", "--parallel", "100000", "--out", str(tmp_path / "x.json")
     )
     assert code == 2
     assert "capped" in err
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_search_parallel_below_one_exit_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "search", "5", "2", "--parallel", "0", "--out", str(tmp_path / "x.json")
+    )
+    assert code == 2
+    assert "at least 1" in err
     assert not (tmp_path / "x.json").exists()
 
 
