@@ -1,5 +1,6 @@
 """Comparison verdicts, exact verification, crossover scan, and weight search."""
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -26,7 +27,7 @@ from boolfun import (
     verify_counterexample,
     wht,
 )
-from boolfun import conjecture, ltf
+from boolfun import cli, conjecture, ltf
 from boolfun.conjecture import (
     BRACKET_WIDTH,
     VERDICT_CONSISTENT,
@@ -272,6 +273,22 @@ def test_search_matches_per_candidate_oracle(n, max_weight, require_tie_free):
     assert search_counterexamples(
         n, max_weight, require_tie_free=require_tie_free
     ) == search_oracle(n, max_weight, require_tie_free)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_search_workers_match_per_candidate_oracle(workers, tmp_path, capsys):
+    # --parallel K is accepted and bounded; the file must hold the oracle's
+    # results whatever K is.
+    expected = search_oracle(7, 3)
+    assert expected
+    out_path = tmp_path / "search.json"
+    argv = ["search", "7", "3", "--parallel", str(workers), "--out", str(out_path)]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    doc = json.loads(out_path.read_text())
+    assert doc["results"]["counterexamples"] == json.loads(
+        json.dumps([cli._search_entry(r) for r in expected])
+    )
 
 
 def test_screen_block_flags_match_table_predicates():
