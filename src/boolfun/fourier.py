@@ -5,9 +5,9 @@ subset mask S, where fhat(S) = 2^-n sum_x f(x) chi_S(x) and chi_S(x) is the
 product of the coordinates in S. Division happens only at the reporting
 boundary, so every published value is an exact Fraction in lowest terms.
 
-With arity capped at 24, every butterfly partial sum is bounded by 2^24 and
-every sum of squared scaled coefficients by 4^24 (Parseval), both far inside
-int64 range, so the numpy fast paths are exact.
+With arity capped at 24, the fast paths are exact: the transform's int32
+partial sums stay within 2^24 < 2^31, the int64 spectrum squares without
+wrapping, and float64 level sums of squares stay within 4^24 = 2^48 < 2^53.
 """
 
 from __future__ import annotations
@@ -102,48 +102,50 @@ class StabilityPolynomial:
         return Fraction(acc, denom * q_power)
 
 
-def _forward_butterfly(vec: np.ndarray) -> None:
-    """In-place pass turning a sign table into scaled coefficients.
+def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
+    """Butterfly stages for index bits lo..hi-1, in place on a contiguous vector.
 
     The stage for bit b maps pairs (x, y) = (bit clear, bit set) to
     (x + y, y - x); the sign asymmetry is forced by the encoding that puts
     x_i = +1 on set bits, where the textbook (x + y, x - y) butterfly would
-    compute the chi of the complemented input instead.
+    compute the chi of the complemented input instead. It runs as
+    a += b; b *= 2; b -= a, so no stage copies a half of the vector.
     """
-    size = vec.size
-    h = 1
-    while h < size:
-        m = vec.reshape(-1, 2, h)
-        x = m[:, 0, :].copy()
-        m[:, 0, :] = x + m[:, 1, :]
-        m[:, 1, :] -= x
-        h *= 2
-
-
-def _inverse_butterfly(vec: np.ndarray) -> None:
-    """Exact inverse of the forward pass, up to the overall factor 2^n."""
-    size = vec.size
-    h = 1
-    while h < size:
-        m = vec.reshape(-1, 2, h)
-        x = m[:, 0, :].copy()
-        m[:, 0, :] = x - m[:, 1, :]
-        m[:, 1, :] += x
-        h *= 2
+    for bit in range(lo, hi):
+        m = vec.reshape(-1, 2, 1 << bit)
+        a, b = m[:, 0, :], m[:, 1, :]
+        a += b
+        b *= 2
+        b -= a
 
 
 def wht(f: BooleanFunction) -> FourierExpansion:
-    """Full spectrum by the fast transform, n * 2^n integer operations."""
-    vec = f.signs().astype(np.int64)
-    _forward_butterfly(vec)
-    return FourierExpansion(f.n, vec)
+    """Full spectrum by the fast transform, n * 2^n integer operations.
+
+    The stages run in int32, exact because every value, 2y included, is a
+    signed sum of at most 2^n entries +-1: |.| <= 2^n <= 2^24 < 2^31. The
+    stages of the 4 low bits run on the transpose, where their inner runs
+    are 2^(n-4) entries long instead of 1..8; the rest after transposing back.
+    """
+    low = min(f.n, 4)
+    vec = f.signs().reshape(-1, 1 << low).T.astype(np.int32, order="C")
+    _stages(vec.reshape(-1), f.n - low, f.n)
+    vec = np.ascontiguousarray(vec.T).reshape(-1)
+    _stages(vec, low, f.n)
+    return FourierExpansion(f.n, vec.astype(np.int64))
 
 
 def inverse_wht(e: FourierExpansion) -> BooleanFunction:
-    """Recover the +-1 table from scaled coefficients, exactly."""
-    vec = e.scaled.astype(np.int64)
-    _inverse_butterfly(vec)
-    quotient, remainder = np.divmod(vec, e.size)
+    """Recover the +-1 table from scaled coefficients, exactly.
+
+    A stage's inverse (x, y) -> (x - y, x + y), up to the factor 2, is the
+    forward stage with the pair swapped on both sides; reversing the index
+    swaps every stage's pairs at once. So reverse, run the forward stages in
+    int64 (the input is arbitrary) and reverse back.
+    """
+    vec = e.scaled[::-1].astype(np.int64, order="C")
+    _stages(vec, 0, e.n)
+    quotient, remainder = np.divmod(vec[::-1], e.size)
     if remainder.any() or not np.all(np.abs(quotient) == 1):
         raise ValueError("coefficients are not the spectrum of a +-1 valued function")
     return BooleanFunction.from_signs(quotient)
@@ -195,10 +197,6 @@ def influence(f: BooleanFunction, i: int) -> Fraction:
     return Fraction((f.table ^ flipped).bit_count(), f.size)
 
 
-def _popcounts(size: int) -> np.ndarray:
-    return np.bitwise_count(np.arange(size, dtype=np.uint32))
-
-
 def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:
     """Inf_i via the identity sum over S containing i of fhat(S)^2."""
     if not 1 <= i <= e.n:
@@ -212,20 +210,26 @@ def degree_weight(e: FourierExpansion, k: int) -> Fraction:
     """W_k = sum over |S| = k of fhat(S)^2, exact."""
     if not 0 <= k <= e.n:
         raise ValueError(f"degree {k} out of range 0..{e.n}")
-    at_level = _popcounts(e.size) == k
-    total = int(np.sum(e.scaled[at_level] ** 2))
-    return Fraction(total, e.size * e.size)
+    return stability_polynomial(e).weights[k]
 
 
 def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
-    """The full weight vector W_0..W_n; the weights sum to 1 by Parseval."""
-    levels = _popcounts(e.size)
-    squares = e.scaled.astype(np.int64) ** 2
+    """The full weight vector W_0..W_n; the weights sum to 1 by Parseval.
+
+    Row r of the spectrum holds the 2^16 masks (all 2^n when n < 16) whose
+    high bits are r; its float64 squares, summed by the level of the low
+    bits, add to the levels offset by popcount(r). Exact: every addend is an
+    integer and every sum is at most the Parseval total 4^n <= 2^48 < 2^53.
+    """
+    low_bits = min(e.n, 16)
+    low_levels = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32)).astype(np.intp)
+    sums = np.zeros(e.n + 1)
+    for row, chunk in enumerate(e.scaled.reshape(-1, 1 << low_bits)):
+        squares = np.square(chunk, dtype=np.float64)
+        high = row.bit_count()
+        sums[high : high + low_bits + 1] += np.bincount(low_levels, weights=squares)
     denom = e.size * e.size
-    weights = tuple(
-        Fraction(int(np.sum(squares[levels == k])), denom) for k in range(e.n + 1)
-    )
-    return StabilityPolynomial(weights)
+    return StabilityPolynomial(tuple(Fraction(int(total), denom) for total in sums))
 
 
 def correlation_by_distance(f: BooleanFunction, g: BooleanFunction) -> list[int]:

@@ -8,6 +8,7 @@ from boolfun import (
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
     BooleanFunction,
+    FourierExpansion,
     LtfSpec,
     SearchResult,
     TieEncountered,
@@ -74,6 +75,36 @@ def horner_oracle(weights, rho) -> Fraction:
     for w in reversed(weights):
         acc = acc * rho + w
     return acc
+
+
+def butterfly_oracle(f: BooleanFunction) -> np.ndarray:
+    """Scaled coefficients by the plain int64 butterfly, one stage per bit.
+
+    Each stage copies the bit-clear half and maps pairs (x, y) to
+    (x + y, y - x); this is the reference that the blocked int32 ``wht``
+    must equal exactly, up to n = 24.
+    """
+    vec = f.signs().astype(np.int64)
+    h = 1
+    while h < vec.size:
+        m = vec.reshape(-1, 2, h)
+        x = m[:, 0, :].copy()
+        m[:, 0, :] = x + m[:, 1, :]
+        m[:, 1, :] -= x
+        h *= 2
+    return vec
+
+
+def level_weights_oracle(e: FourierExpansion) -> tuple:
+    """W_0..W_n by one masked int64 sum of squares per level.
+
+    The reference that the chunked float64 ``stability_polynomial`` must
+    equal exactly.
+    """
+    levels = np.bitwise_count(np.arange(e.size, dtype=np.uint32))
+    squares = e.scaled.astype(np.int64) ** 2
+    denom = e.size * e.size
+    return tuple(Fraction(int(np.sum(squares[levels == k])), denom) for k in range(e.n + 1))
 
 
 def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> list:

@@ -7,6 +7,7 @@ import pytest
 
 from boolfun import (
     BooleanFunction,
+    FourierExpansion,
     LtfSpec,
     StabilityPolynomial,
     character_matrix,
@@ -24,7 +25,7 @@ from boolfun import (
     wht,
 )
 
-from helpers import random_function
+from helpers import butterfly_oracle, level_weights_oracle, random_function
 
 DICTATOR = BooleanFunction(1, 0b10)
 PARITY2 = BooleanFunction.from_signs([1, -1, -1, 1])  # x1 * x2
@@ -113,9 +114,38 @@ def test_naive_expansion_arity_cap():
 
 def test_inverse_transform_roundtrip():
     rng = np.random.default_rng(23)
-    for n in (1, 2, 5, 10):
+    for n in (1, 2, 5, 10, 16, 20):
         f = random_function(n, rng)
         assert inverse_wht(wht(f)) == f
+
+
+def test_inverse_transform_rejects_non_spectra():
+    rng = np.random.default_rng(33)
+    for n in (1, 5, 12):
+        scaled = wht(random_function(n, rng)).scaled.copy()
+        scaled[-1] += 2  # still even, but no longer the spectrum of a +-1 table
+        with pytest.raises(ValueError):
+            inverse_wht(FourierExpansion(n, scaled))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_constant_function_spectrum_at_int32_bound(sign):
+    # scaled[0] = +-2^24 is the largest partial sum the int32 stages hold.
+    n = 24
+    f = BooleanFunction(n, (1 << (1 << n)) - 1 if sign == 1 else 0)
+    e = wht(f)
+    assert e.scaled.dtype == np.int64
+    assert e.scaled[0] == sign * (1 << n)
+    assert np.count_nonzero(e.scaled) == 1
+    assert stability_polynomial(e).weights == (Fraction(1),) + (Fraction(0),) * n
+
+
+def test_wht_and_levels_match_int64_oracles_at_arity_cap():
+    f = random_function(24, np.random.default_rng(34))
+    e = wht(f)
+    assert e.scaled.dtype == np.int64
+    assert np.array_equal(e.scaled, butterfly_oracle(f))
+    assert stability_polynomial(e).weights == level_weights_oracle(e)
 
 
 def test_coefficient_parity_invariant():

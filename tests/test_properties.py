@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from boolfun import (
     BooleanFunction,
     LtfSpec,
+    TIE_REJECT,
+    TIE_TO_MINUS_ONE,
     StabilityPolynomial,
     coefficient,
     complement_index,
@@ -28,7 +30,15 @@ from boolfun import (
     wht,
 )
 
-from helpers import horner_oracle, mask_image, negate_subset, random_odd_function
+from helpers import (
+    butterfly_oracle,
+    horner_oracle,
+    level_weights_oracle,
+    mask_image,
+    negate_subset,
+    random_function,
+    random_odd_function,
+)
 
 
 @st.composite
@@ -69,6 +79,17 @@ def test_inverse_transform_recovers_table(f):
 @given(boolean_functions(max_n=8))
 def test_fast_transform_equals_naive_summation(f):
     assert np.array_equal(wht(f).scaled, naive_expansion(f).scaled)
+
+
+# Level sums run over 2^16-entry chunks: n = 15 has no full chunk, 16 one
+# and 17 two, whose second chunk's levels are offset by one.
+@settings(max_examples=15)
+@given(st.sampled_from([15, 16, 17]), st.integers(0, 2**32 - 1))
+def test_spectrum_and_levels_equal_int64_oracles_at_chunk_boundary(n, seed):
+    f = random_function(n, np.random.default_rng(seed))
+    e = wht(f)
+    assert np.array_equal(e.scaled, butterfly_oracle(f))
+    assert stability_polynomial(e).weights == level_weights_oracle(e)
 
 
 @given(boolean_functions())
@@ -198,9 +219,24 @@ def test_hex_roundtrip(f):
 
 
 @given(
-    st.lists(st.integers(-9, 9), min_size=1, max_size=10),
-    st.integers(-20, 20),
+    st.lists(st.integers(-9, 9) | st.integers(), min_size=1, max_size=24),
+    st.integers(-20, 20) | st.integers(),
+    st.sampled_from([TIE_REJECT, TIE_TO_MINUS_ONE]),
 )
-def test_spec_text_roundtrip(weights, theta):
-    spec = LtfSpec(tuple(weights), theta)
+def test_spec_text_roundtrip(weights, theta, tie_policy):
+    spec = LtfSpec(tuple(weights), theta, tie_policy)
+    assert parse_spec(render_spec(spec), tie_policy) == spec
+
+
+@given(st.text() | st.text(alphabet="0123456789,@+- _\t\n"))
+@example("")
+@example("2,2,1,1,1@")
+@example("1," * 25 + "1")
+@example("1@2@3")
+def test_parse_spec_parses_or_raises_value_error(text):
+    try:
+        spec = parse_spec(text)
+    except ValueError:
+        return
+    assert isinstance(spec, LtfSpec)
     assert parse_spec(render_spec(spec)) == spec
