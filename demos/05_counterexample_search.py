@@ -4,12 +4,21 @@ The search walks canonical weight vectors (nonincreasing, entries in
 [1, max_weight], gcd 1) in blocks, computes every block's weighted sums and
 Chow vectors with two matrix products instead of a truth table per vector,
 keeps the unbiased ones, and reports every W_1 strictly below majority's.
-Coordinate permutations and sign flips never change degree weights and
-common scaling never changes the function, so the canonical slice is
-exhaustive.
+Each reported function is tie-free, odd and monotone by construction; the
+table predicates below confirm it. Coordinate permutations and sign flips
+never change degree weights and common scaling never changes the function,
+so the canonical slice is exhaustive.
 """
 
-from boolfun import canonical_weight_vectors, materialize, search_counterexamples
+from boolfun import (
+    canonical_weight_vectors,
+    is_monotone,
+    is_odd,
+    is_unbiased,
+    materialize,
+    search_counterexamples,
+    tie_witness,
+)
 
 print("=" * 64)
 print("THE CANONICAL SLICE AT n=5, WEIGHTS UP TO 2")
@@ -23,8 +32,9 @@ print("SEARCH n=5, max_weight=2")
 print("=" * 64)
 for r in search_counterexamples(5, 2):
     print(f"  weights {r.spec.weights}: W_1 = {r.w1} vs majority {r.w1_majority}")
-    print(f"    margin {r.margin}, unbiased={r.unbiased}, monotone={r.monotone},"
-          f" odd={r.odd}, tie_free={r.tie_free}")
+    f = materialize(r.spec)
+    print(f"    margin {r.margin}, unbiased={is_unbiased(f)}, monotone={is_monotone(f)},"
+          f" odd={is_odd(f)}, tie_free={tie_witness(r.spec) is None}")
     print(f"    truth table {r.table_hex!r}")
 
 print()

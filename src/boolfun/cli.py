@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import __version__
 from .conjecture import (
-    MAX_WORKERS,
     _check_grid,
     compare_stability,
     search_counterexamples,
@@ -44,6 +43,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_TIE = 3
 EXIT_IO = 4
+
+# Largest `search --parallel` accepted; the search runs in one process
+# whatever the value, which is only echoed in the stdout document.
+MAX_WORKERS = 32
 
 
 def fraction_fields(x: Fraction) -> dict:
@@ -211,12 +214,8 @@ def _search_entry(r) -> dict:
         "w1": fraction_fields(r.w1),
         "w1_majority": fraction_fields(r.w1_majority),
         "margin": fraction_fields(r.margin),
-        "flags": {
-            "unbiased": r.unbiased,
-            "monotone": r.monotone,
-            "odd": r.odd,
-            "tie_free": r.tie_free,
-        },
+        # By construction: unbiased rules out ties, no tie at theta = 0 is odd, w > 0 monotone.
+        "flags": {"unbiased": True, "monotone": True, "odd": True, "tie_free": True},
         "table_hex": r.table_hex,
     }
 
@@ -226,9 +225,7 @@ def cmd_search(args) -> int:
         raise ValueError("workers must be at least 1")
     if args.parallel > MAX_WORKERS:
         raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
-    results = search_counterexamples(
-        args.n, args.max_weight, require_tie_free=not args.allow_ties
-    )
+    results = search_counterexamples(args.n, args.max_weight)
     entries = [_search_entry(r) for r in results]
     # The results file deliberately omits --parallel: it does not change the
     # search, and the file is contractually byte-identical across it.
@@ -311,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     search.add_argument(
         "--allow-ties",
         action="store_true",
-        help="tie-break specs with map_to_minus_one instead of skipping them",
+        help="echoed only: a tie-broken theta=0 table is biased, so the results"
+        " never change",
     )
     search.set_defaults(handler=cmd_search)
 

@@ -25,8 +25,6 @@ from .fourier import (
     wht,
 )
 from .ltf import (
-    TIE_REJECT,
-    TIE_TO_MINUS_ONE,
     LtfSpec,
     counterexample,
     is_monotone,
@@ -46,9 +44,6 @@ SEARCH_MAX_VECTORS = 10**6
 # Vectors per screened block: the block's temporaries hold
 # SEARCH_BLOCK * 2^n float64 entries each, 1 MiB at n = 9.
 SEARCH_BLOCK = 256
-# Largest `search --parallel` the CLI accepts; the search runs in one process
-# whatever the value, which is only echoed in the stdout document.
-MAX_WORKERS = 32
 
 # Largest rho grid (intervals) that compare_stability and crossover_scan
 # accept; it must stay >= 4096, the crossover_scan default. Each sample is
@@ -64,7 +59,6 @@ BRACKET_WIDTH = Fraction(1, 2**40)
 __all__ = [
     "BRACKET_WIDTH",
     "MAX_GRID",
-    "MAX_WORKERS",
     "SEARCH_MAX_ARITY",
     "SEARCH_MAX_VECTORS",
     "VERDICT_CONSISTENT",
@@ -339,10 +333,6 @@ class SearchResult:
     w1: Fraction
     w1_majority: Fraction
     margin: Fraction  # w1_majority - w1, positive for reported results
-    unbiased: bool
-    monotone: bool
-    odd: bool
-    tie_free: bool
     table_hex: str
 
 
@@ -359,14 +349,19 @@ def canonical_weight_vectors(n: int, max_weight: int):
             yield w
 
 
-def _screen_block(block, *, w1_bar, require_tie_free):
+def _screen_block(block, *, w1_bar):
     """Screen a block of weight vectors at once; one tuple per survivor.
 
     Each row of ``sums`` is the weighted sum over the cube in core index
-    order, so ``signs`` is the ``map_to_minus_one`` table (+1 iff w . x > 0)
-    and ``signs @ cube`` is 2^n times the level-1 (Chow) coefficients.
-    A tie-broken theta=0 table leans toward -1 and can never be unbiased, so
-    the unbiased filter also keeps every survivor tie-free.
+    order, so ``positive`` marks the +1 entries of the ``map_to_minus_one``
+    table (+1 iff w . x > 0), and that +-1 table times ``cube`` is 2^n times
+    the level-1 (Chow) coefficients.
+
+    Every survivor of a canonical block is tie-free, odd and monotone, so
+    none of these is computed. A tie at x is a tie at -x, and both map to
+    -1, so a table with a tie is biased and fails the unbiased filter.
+    Without ties, sign(w . (-x)) = -sign(w . x): the table is odd. Positive
+    weights make it monotone.
 
     Both products run in float64, which numpy hands to BLAS (it has no BLAS
     path for int64). They are exact: every entry and every partial sum is an
@@ -374,36 +369,24 @@ def _screen_block(block, *, w1_bar, require_tie_free):
     most 9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS),
     |chow_i| <= 2^n and, by Parseval, sum_i chow_i^2 <= 4^n. All are far
     below 2^53, so no summation order can round.
-    The result tuples are (weights, tie, 4^n * W_1, monotone, odd, table hex).
+    The result tuples are (weights, 4^n * W_1, table hex).
     """
     n = len(block[0])
     size = 1 << n
     cube = ((np.arange(size)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
     sums = np.array(block, dtype=np.float64) @ cube.T
-    tie = (sums == 0).any(axis=1)
-    signs = np.where(sums > 0, 1.0, -1.0)
-    chow = signs @ cube
+    positive = sums > 0
+    chow = np.where(positive, 1.0, -1.0) @ cube
     w1_scaled = (chow * chow).sum(axis=1)
-    keep = (2 * (signs > 0).sum(axis=1) == size) & (w1_scaled < w1_bar)
-    if require_tie_free:
-        keep &= ~tie
+    keep = (2 * positive.sum(axis=1) == size) & (w1_scaled < w1_bar)
     rows = np.flatnonzero(keep)
-    signs = signs[rows]
-    odd = (signs == -signs[:, ::-1]).all(axis=1)
-    monotone = np.ones(rows.size, dtype=bool)
-    for i in range(n):
-        edges = signs.reshape(rows.size, size >> (i + 1), 2, 1 << i)
-        monotone &= (edges[:, :, 0] <= edges[:, :, 1]).all(axis=(1, 2))
-    tables = np.packbits(signs > 0, axis=1, bitorder="little")
+    tables = np.packbits(positive[rows], axis=1, bitorder="little")
     return [
-        (block[r], bool(tie[r]), int(w1_scaled[r]), bool(m), bool(o), t.tobytes().hex())
-        for r, m, o, t in zip(rows, monotone, odd, tables)
+        (block[r], int(w1_scaled[r]), t.tobytes().hex()) for r, t in zip(rows, tables)
     ]
 
 
-def search_counterexamples(
-    n: int, max_weight: int, require_tie_free: bool = True
-) -> list[SearchResult]:
+def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
     """Exhaust canonical weight vectors and report every W_1 beat of Maj_n.
 
     Vectors are screened in blocks of ``SEARCH_BLOCK`` with no truth table
@@ -432,22 +415,17 @@ def search_counterexamples(
     seen = set()
     merged = []
     for block in iter(lambda: list(islice(vectors, SEARCH_BLOCK)), []):
-        rows = _screen_block(block, w1_bar=w1_bar, require_tie_free=require_tie_free)
-        for weights, tie, w1_scaled, monotone, odd, table_hex in rows:
+        for weights, w1_scaled, table_hex in _screen_block(block, w1_bar=w1_bar):
             if table_hex in seen:
                 continue
             seen.add(table_hex)
             w1 = Fraction(w1_scaled, scale)
             merged.append(
                 SearchResult(
-                    spec=LtfSpec(weights, 0, TIE_TO_MINUS_ONE if tie else TIE_REJECT),
+                    spec=LtfSpec(weights),
                     w1=w1,
                     w1_majority=w1_majority,
                     margin=w1_majority - w1,
-                    unbiased=True,
-                    monotone=monotone,
-                    odd=odd,
-                    tie_free=not tie,
                     table_hex=table_hex,
                 )
             )

@@ -111,10 +111,11 @@ def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> lis
     """The weight search one candidate at a time, through full truth tables.
 
     Each canonical vector is materialized (tie-broken to -1 when ties are
-    allowed) and screened with ``wht`` + ``degree_weight``; survivors get
-    their flags from the table predicates. Deduplication keeps the first
-    table in enumeration order and the sort matches the library's, so the
-    result must equal ``search_counterexamples`` exactly.
+    allowed) and screened with ``wht`` + ``degree_weight``. Every survivor
+    must be tie-free, unbiased, monotone and odd by the table predicates,
+    the flags the CLI reports for it. Deduplication keeps the first table in
+    enumeration order and the sort matches the library's, so the result must
+    equal ``search_counterexamples`` exactly.
     """
     w1_majority = degree_weight(wht(majority(n)), 1)
     seen, results = set(), []
@@ -133,16 +134,15 @@ def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> lis
         if w1 >= w1_majority or f.to_hex() in seen:
             continue
         seen.add(f.to_hex())
+        # Under TIE_REJECT, materialize raised on any tie.
+        assert spec.tie_policy == TIE_REJECT
+        assert is_unbiased(f) and is_monotone(f) and is_odd(f)
         results.append(
             SearchResult(
                 spec=spec,
                 w1=w1,
                 w1_majority=w1_majority,
                 margin=w1_majority - w1,
-                unbiased=True,
-                monotone=is_monotone(f),
-                odd=is_odd(f),
-                tie_free=spec.tie_policy == TIE_REJECT,
                 table_hex=f.to_hex(),
             )
         )

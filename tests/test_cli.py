@@ -7,7 +7,21 @@ import subprocess
 import sys
 from fractions import Fraction
 
-from boolfun import cli, conjecture, fourier, materialize, parse_spec, stability_polynomial, wht
+import pytest
+
+from boolfun import (
+    cli,
+    conjecture,
+    fourier,
+    is_monotone,
+    is_odd,
+    is_unbiased,
+    materialize,
+    parse_spec,
+    stability_polynomial,
+    tie_witness,
+    wht,
+)
 from boolfun.cli import decimal17, main
 
 from helpers import horner_oracle
@@ -217,6 +231,26 @@ def test_search_results_file(tmp_path, capsys):
     }
     stdout_doc = json.loads(out)
     assert stdout_doc["results"]["count"] == 1
+
+
+@pytest.mark.parametrize("tie_flag", [[], ["--allow-ties"]])
+def test_search_flags_match_table_predicates(tie_flag, tmp_path, capsys):
+    # The flags are written as constants; each must hold on the entry's table.
+    out_path = tmp_path / "results.json"
+    code, _, _ = run_cli(capsys, "search", "7", "3", *tie_flag, "--out", str(out_path))
+    assert code == 0
+    entries = json.loads(out_path.read_text())["results"]["counterexamples"]
+    assert entries
+    for entry in entries:
+        spec = parse_spec(entry["spec"])
+        f = materialize(spec)
+        assert f.to_hex() == entry["table_hex"]
+        assert entry["flags"] == {
+            "unbiased": is_unbiased(f),
+            "monotone": is_monotone(f),
+            "odd": is_odd(f),
+            "tie_free": tie_witness(spec) is None,
+        }
 
 
 def test_search_empty(tmp_path, capsys):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boolfun import (
+    TIE_TO_MINUS_ONE,
     BooleanFunction,
     LtfSpec,
     TieEncountered,
@@ -18,12 +19,11 @@ from boolfun import (
     counterexample,
     crossover_scan,
     degree_weight,
-    is_monotone,
-    is_odd,
     majority,
     materialize,
     naive_expansion,
     search_counterexamples,
+    tie_witness,
     verify_counterexample,
     wht,
 )
@@ -207,7 +207,6 @@ def test_search_5_2_finds_exactly_the_known_function():
     assert hit.margin == Fraction(1, 64)
     assert hit.w1 == Fraction(44, 64)
     assert hit.w1_majority == Fraction(45, 64)
-    assert hit.unbiased and hit.monotone and hit.odd and hit.tie_free
     assert hit.table_hex == "88e8e8ee"
 
 
@@ -215,17 +214,6 @@ def test_search_empty_cases():
     assert search_counterexamples(5, 1) == []
     for bound in (2, 3, 5):
         assert search_counterexamples(3, bound) == []
-
-
-def test_search_tie_policy_modes_agree():
-    # tie-broken theta=0 functions are biased toward -1, so allowing ties
-    # can never add reported results
-    assert search_counterexamples(5, 2, require_tie_free=False) == search_counterexamples(
-        5, 2
-    )
-    assert search_counterexamples(7, 2, require_tie_free=False) == search_counterexamples(
-        7, 2
-    )
 
 
 def test_search_results_sorted_and_deduplicated():
@@ -268,11 +256,16 @@ def test_search_materializes_only_majority(monkeypatch):
 
 
 @pytest.mark.parametrize("require_tie_free", [True, False])
-@pytest.mark.parametrize("n, max_weight", [(3, 5), (5, 2), (5, 3), (7, 3), (7, 5), (9, 4)])
+@pytest.mark.parametrize(
+    "n, max_weight", [(3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (7, 5), (9, 4)]
+)
 def test_search_matches_per_candidate_oracle(n, max_weight, require_tie_free):
-    assert search_counterexamples(
-        n, max_weight, require_tie_free=require_tie_free
-    ) == search_oracle(n, max_weight, require_tie_free)
+    # The library has no tie mode: tie-broken theta=0 tables are biased toward
+    # -1, so the oracle that admits them must still agree. The oracle asserts
+    # every reported flag on each survivor by the table predicates.
+    assert search_counterexamples(n, max_weight) == search_oracle(
+        n, max_weight, require_tie_free
+    )
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -291,11 +284,12 @@ def test_search_workers_match_per_candidate_oracle(workers, tmp_path, capsys):
     )
 
 
-def test_screen_block_flags_match_table_predicates():
-    # Signed weights give non-monotone rows, which canonical vectors never do;
+def test_screen_block_rows_match_table_route():
+    # Signed weights give non-monotone rows, which canonical vectors never do,
+    # and even sums give tie rows, which the unbiased filter alone must drop;
     # a bar above 4^n keeps every unbiased row. n = 9 with weights up to 15 is
     # the SEARCH_MAX_VECTORS edge of the float64 products; the appended rows
-    # reach |w . x| = n * bound and keep monotone rows in every block.
+    # reach |w . x| = n * bound.
     rng = np.random.default_rng(7)
     for n, bound in ((3, 4), (5, 4), (7, 4), (9, 15)):
         block = [
@@ -303,19 +297,16 @@ def test_screen_block_flags_match_table_predicates():
             for _ in range(300)
         ]
         block += [(bound,) * n] + [tuple(map(abs, w)) for w in block[:20]]
-        block = [w for w in block if sum(w) % 2]
-        rows = conjecture._screen_block(block, w1_bar=4**n + 1, require_tie_free=True)
+        rows = conjecture._screen_block(block, w1_bar=4**n + 1)
         expected = []
         for weights in block:
-            f = materialize(LtfSpec(weights))
+            f = materialize(LtfSpec(weights, 0, TIE_TO_MINUS_ONE))
             if f.ones() * 2 == f.size:
-                w1 = degree_weight(wht(f), 1) * 4**n
-                expected.append(
-                    (weights, False, w1, is_monotone(f), is_odd(f), f.to_hex())
-                )
+                assert tie_witness(LtfSpec(weights)) is None
+                expected.append((weights, degree_weight(wht(f), 1) * 4**n, f.to_hex()))
         assert rows == expected
-        assert all(type(row[2]) is int for row in rows)
-        assert {row[3] for row in rows} == {True, False}
+        assert all(type(row[1]) is int for row in rows)
+        assert any(tie_witness(LtfSpec(w)) is not None for w in block)
 
 
 def test_search_canonicalization_soundness_n5_w2():
