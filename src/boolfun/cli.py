@@ -220,13 +220,32 @@ def _search_entry(r) -> dict:
     }
 
 
+# Stands in for the counterexample list while the rest of a document renders.
+_LIST_SLOT = "<counterexamples>"
+# A quote inside a rendered JSON string is escaped, so '": ' only ends a key:
+# the slot with its key occurs once, whatever the --out path holds.
+_LIST_KEY = '"counterexamples": '
+_SLOT_TEXT = _LIST_KEY + json.dumps(_LIST_SLOT)
+
+
+def _render_around_list(doc: dict) -> tuple[str, str]:
+    """The rendering of ``doc`` before and after its counterexample list."""
+    parts = render_document(doc).split(_SLOT_TEXT)
+    if len(parts) != 2:
+        raise RuntimeError(f"expected one list slot in the document, found {len(parts) - 1}")
+    return parts[0] + _LIST_KEY, parts[1]
+
+
 def cmd_search(args) -> int:
     if args.parallel < 1:
         raise ValueError("workers must be at least 1")
     if args.parallel > MAX_WORKERS:
         raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
     results = search_counterexamples(args.n, args.max_weight)
-    entries = [_search_entry(r) for r in results]
+    # Both documents hold the list at depth 2 (results -> counterexamples), so
+    # one rendering, indented 4 more spaces, is spliced into each. A JSON string
+    # holds no raw newline, so only structural lines move.
+    listing = render_document([_search_entry(r) for r in results]).replace("\n", "\n    ")
     # The results file deliberately omits --parallel: it does not change the
     # search, and the file is contractually byte-identical across it.
     file_doc = _document(
@@ -236,10 +255,13 @@ def cmd_search(args) -> int:
             "max_weight": args.max_weight,
             "require_tie_free": not args.allow_ties,
         },
-        {"count": len(entries), "counterexamples": entries},
+        {"count": len(results), "counterexamples": _LIST_SLOT},
     )
+    head, tail = _render_around_list(file_doc)
     with open(args.out, "w") as handle:
-        handle.write(render_document(file_doc) + "\n")
+        handle.write(head)
+        handle.write(listing)
+        handle.write(tail + "\n")
     inputs = {
         "n": args.n,
         "max_weight": args.max_weight,
@@ -248,9 +270,10 @@ def cmd_search(args) -> int:
         "out": args.out,
     }
     stdout_doc = _document(
-        "search", inputs, {"count": len(entries), "out": args.out, "counterexamples": entries}
+        "search", inputs, {"count": len(results), "out": args.out, "counterexamples": _LIST_SLOT}
     )
-    print(render_document(stdout_doc))
+    head, tail = _render_around_list(stdout_doc)
+    print(head, listing, tail, sep="")
     return EXIT_OK
 
 

@@ -413,21 +413,21 @@ def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
     vectors = canonical_weight_vectors(n, max_weight)
     w1_bar = int(w1_majority * scale)
     seen = set()
-    merged = []
+    rows = []
     for block in iter(lambda: list(islice(vectors, SEARCH_BLOCK)), []):
-        for weights, w1_scaled, table_hex in _screen_block(block, w1_bar=w1_bar):
-            if table_hex in seen:
-                continue
-            seen.add(table_hex)
-            w1 = Fraction(w1_scaled, scale)
-            merged.append(
-                SearchResult(
-                    spec=LtfSpec(weights),
-                    w1=w1,
-                    w1_majority=w1_majority,
-                    margin=w1_majority - w1,
-                    table_hex=table_hex,
-                )
-            )
-    merged.sort(key=lambda r: (-r.margin, r.spec.weights))
-    return merged
+        for row in _screen_block(block, w1_bar=w1_bar):
+            if row[2] not in seen:
+                seen.add(row[2])
+                rows.append(row)
+    # Every row shares w1_majority, so margin descending is 4^n * W_1 ascending.
+    rows.sort(key=lambda row: (row[1], row[0]))
+    return [
+        SearchResult(
+            spec=LtfSpec(weights),
+            w1=Fraction(w1_scaled, scale),
+            w1_majority=w1_majority,
+            margin=Fraction(w1_bar - w1_scaled, scale),  # w1_bar is 4^n * w1_majority
+            table_hex=table_hex,
+        )
+        for weights, w1_scaled, table_hex in rows
+    ]

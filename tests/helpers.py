@@ -21,6 +21,7 @@ from boolfun import (
     materialize,
     wht,
 )
+from boolfun.cli import _document, _search_entry, render_document
 
 
 def random_function(n: int, rng) -> BooleanFunction:
@@ -148,3 +149,32 @@ def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> lis
         )
     results.sort(key=lambda r: (-r.margin, r.spec.weights))
     return results
+
+
+def render_search_oracle(args, results) -> tuple[str, str]:
+    """The results-file and stdout text of ``search``, each document rendered whole.
+
+    The reference for the CLI, which renders the counterexample list once
+    and splices it into both documents: the bytes must be equal.
+    """
+    entries = [_search_entry(r) for r in results]
+    file_doc = _document(
+        "search",
+        {
+            "n": args.n,
+            "max_weight": args.max_weight,
+            "require_tie_free": not args.allow_ties,
+        },
+        {"count": len(entries), "counterexamples": entries},
+    )
+    inputs = {
+        "n": args.n,
+        "max_weight": args.max_weight,
+        "parallel": args.parallel,
+        "require_tie_free": not args.allow_ties,
+        "out": args.out,
+    }
+    stdout_doc = _document(
+        "search", inputs, {"count": len(entries), "out": args.out, "counterexamples": entries}
+    )
+    return render_document(file_doc) + "\n", render_document(stdout_doc) + "\n"

@@ -24,7 +24,7 @@ from boolfun import (
 )
 from boolfun.cli import decimal17, main
 
-from helpers import horner_oracle
+from helpers import horner_oracle, render_search_oracle
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +269,35 @@ def test_search_parallel_files_byte_identical(tmp_path, capsys):
         run_cli(capsys, "search", "5", "2", "--parallel", "8", "--out", str(eight))[0] == 0
     )
     assert one.read_bytes() == eight.read_bytes()
+
+
+# An --out path echoed on stdout: it holds a quote, a backslash and the list
+# slot's rendered text, and it ends in a quote and the slot's value, which
+# renders as an escaped quote followed by the value's JSON form.
+ODD_OUT_NAME = f'q"b\\{cli._SLOT_TEXT}"{cli._LIST_SLOT}'
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["3", "5"], "search.json"),
+        (["5", "2"], "search.json"),
+        (["5", "3", "--allow-ties"], "search.json"),
+        (["7", "3"], "search.json"),
+        (["9", "8", "--parallel", "2"], "search.json"),
+        pytest.param(["5", "2"], ODD_OUT_NAME, id="odd-out-path"),
+    ],
+)
+def test_search_spliced_list_matches_whole_documents(argv, name, tmp_path, capsys):
+    out_path = tmp_path / name
+    args = cli._build_parser().parse_args(["search", *argv, "--out", str(out_path)])
+    code, out, _ = run_cli(capsys, "search", *argv, "--out", str(out_path))
+    assert code == 0
+    file_text, stdout_text = render_search_oracle(
+        args, conjecture.search_counterexamples(args.n, args.max_weight)
+    )
+    assert out_path.read_text() == file_text
+    assert out == stdout_text
 
 
 def test_search_even_arity_exit_2(tmp_path, capsys):

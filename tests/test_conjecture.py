@@ -224,6 +224,16 @@ def test_search_results_sorted_and_deduplicated():
     assert len(tables) == len(set(tables))
 
 
+def test_search_sorted_by_margin_then_weights():
+    # The library sorts on the integer 4^n * W_1; the order must be the one
+    # its Fraction margins give, with the weights breaking margin ties.
+    results = search_counterexamples(9, 8)
+    keys = [(-r.margin, r.spec.weights) for r in results]
+    assert keys == sorted(keys)
+    margins = [r.margin for r in results]
+    assert any(a == b for a, b in zip(margins, margins[1:]))
+
+
 def test_search_w1_reproducible_by_naive_path():
     for r in search_counterexamples(7, 3):
         f = materialize(r.spec)
