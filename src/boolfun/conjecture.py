@@ -118,7 +118,6 @@ class ComparisonReport:
 
     arity: int
     poly_candidate: StabilityPolynomial
-    poly_reference: StabilityPolynomial
     diff_poly: tuple[Fraction, ...]  # D(rho) = Stab[reference] - Stab[candidate]
     grid: tuple[tuple[Fraction, Fraction], ...]  # (rho, D(rho)) samples
     margin: Fraction  # D'(0) = W_1[reference] - W_1[candidate]
@@ -138,8 +137,8 @@ def _check_grid(points: int) -> None:
 
 
 def _sampled_difference(candidate, reference, points: int):
-    """Both stability polynomials, D = Stab[reference] - Stab[candidate], and
-    the samples (t/points, D(t/points)) for t = 0..points.
+    """The candidate's stability polynomial, D = Stab[reference] -
+    Stab[candidate], and the samples (t/points, D(t/points)) for t = 0..points.
     """
     if candidate.n != reference.n:
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
@@ -153,7 +152,7 @@ def _sampled_difference(candidate, reference, points: int):
         (Fraction(t, points), diff.evaluate(Fraction(t, points)))
         for t in range(points + 1)
     )
-    return poly_f, poly_g, diff, samples
+    return poly_f, diff, samples
 
 
 def _small_rho_witness(diff: StabilityPolynomial, grid):
@@ -161,8 +160,9 @@ def _small_rho_witness(diff: StabilityPolynomial, grid):
 
     The positive grid prefix serves when there is one. Otherwise halve
     downward from below the first grid point, so no grid sample lies in
-    (0, rho_0]; termination is guaranteed near zero, where
-    D(rho) >= margin*rho - (n-1)*rho^2 with margin > 0.
+    (0, rho_0]. With c_0 = 0 and c_1 > 0, on (0, 1]
+    D(rho) >= c_1*rho - rho^2 * sum_{k>=2} |c_k|, positive once
+    rho * sum_{k>=2} |c_k| < c_1, which fixes the number of halvings.
     """
     prefix_last = None
     for rho, val in grid[1:]:
@@ -173,11 +173,14 @@ def _small_rho_witness(diff: StabilityPolynomial, grid):
     if prefix_last is not None:
         return prefix_last
     rho = grid[1][0] / 2
-    while True:
+    tail = sum(abs(c) for c in diff.weights[2:])
+    halvings = int(rho * tail / diff.weights[1]).bit_length()
+    for _ in range(halvings + 1):
         val = diff.evaluate(rho)
         if val > 0:
             return (rho, val)
         rho /= 2
+    raise AssertionError(f"D(rho) <= 0 after {halvings} halvings despite the bound")
 
 
 def compare_stability(
@@ -185,15 +188,16 @@ def compare_stability(
 ) -> ComparisonReport:
     """Compare noise-stability curves exactly on a rho grid over [0, 1].
 
-    The verdict is ``refutes_at_small_rho`` exactly when the level-1 weight
-    of the candidate is strictly below the reference's, ``consistent`` when
-    additionally no sampled difference is positive, and ``indeterminate``
-    otherwise (a positive sample without the level-1 certificate).
+    The verdict is ``refutes_at_small_rho`` exactly when both functions
+    have the same W_0 (squared mean) and the candidate's level-1 weight is
+    strictly below the reference's, so D(0) = 0 < D'(0). Otherwise it is
+    ``consistent`` when no sampled difference is positive, and
+    ``indeterminate`` when one is.
     """
-    poly_f, poly_g, diff, grid = _sampled_difference(candidate, reference, grid_size)
+    poly_f, diff, grid = _sampled_difference(candidate, reference, grid_size)
     margin = diff.weights[1]
     brackets = _sign_change_brackets(diff, grid)
-    if margin > 0:
+    if diff.weights[0] == 0 and margin > 0:
         verdict = VERDICT_REFUTES
         witness = _small_rho_witness(diff, grid)
     else:
@@ -206,7 +210,6 @@ def compare_stability(
     return ComparisonReport(
         arity=candidate.n,
         poly_candidate=poly_f,
-        poly_reference=poly_g,
         diff_poly=diff.weights,
         grid=grid,
         margin=margin,
@@ -226,7 +229,7 @@ def crossover_scan(
     difference is sign-constant on the sampled points only; the resolution is
     the caller-visible bound on what the scan can distinguish.
     """
-    _, _, diff, samples = _sampled_difference(candidate, reference, resolution)
+    _, diff, samples = _sampled_difference(candidate, reference, resolution)
     return _sign_change_brackets(diff, samples)
 
 
@@ -252,10 +255,7 @@ class VerificationReport:
     stab_candidate: Fraction
 
 
-def verify_counterexample(
-    candidate: BooleanFunction | None = None,
-    majority5: BooleanFunction | None = None,
-) -> VerificationReport:
+def verify_counterexample(candidate: BooleanFunction | None = None) -> VerificationReport:
     """Recompute the exact spectral facts that make the bundled function
     sign(2x1 + 2x2 + x3 + x4 + x5) less stable than Maj_5 near rho = 0.
 
@@ -266,10 +266,10 @@ def verify_counterexample(
     and x4 = -x5 (4 of 16). Monotonicity turns those influences into the
     level-1 coefficients, so W_1 is 5*(3/8)^2 = 45/64 against
     2*(1/2)^2 + 3*(1/4)^2 = 44/64. A mismatch here signals an implementation
-    bug, not a wrong claim; the ``candidate``/``majority5`` overrides exist
-    so harnesses can inject a corrupted table and watch the failure path.
+    bug, not a wrong claim; the ``candidate`` override exists so harnesses
+    can inject a corrupted table and watch the failure path.
     """
-    maj = majority5 if majority5 is not None else majority(5)
+    maj = majority(5)
     cand = candidate if candidate is not None else counterexample()
     e_maj = wht(maj)
     e_cand = wht(cand)

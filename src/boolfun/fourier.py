@@ -66,10 +66,6 @@ class StabilityPolynomial:
 
     weights: tuple[Fraction, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.weights) - 1
-
     @cached_property
     def _integer_form(self) -> tuple[tuple[int, ...], int]:
         """(a_0..a_n, L) with c_k = a_k / L and L the lcm of the denominators."""
@@ -186,15 +182,15 @@ def coefficient(e: FourierExpansion, subset_mask: int) -> Fraction:
 def influence(f: BooleanFunction, i: int) -> Fraction:
     """Inf_i[f] = Pr_x[f(x) != f(x with coordinate i flipped)], exact.
 
-    Counts disagreements by XORing the packed table against its own
-    coordinate-i flip; one popcount gives the count over all inputs.
+    Each disagreeing edge (j, j + stride) is one set bit of t ^ (t >> stride)
+    on its bit-clear end j and counts for both of its inputs, so one masked
+    popcount gives the count over all inputs.
     """
     if not 1 <= i <= f.n:
         raise ValueError(f"coordinate {i} out of range 1..{f.n}")
     stride = 1 << (i - 1)
-    m = low_half_mask(f.size, stride)
-    flipped = ((f.table >> stride) & m) | ((f.table & m) << stride)
-    return Fraction((f.table ^ flipped).bit_count(), f.size)
+    edges = (f.table ^ (f.table >> stride)) & low_half_mask(f.size, stride)
+    return Fraction(2 * edges.bit_count(), f.size)
 
 
 def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:

@@ -99,17 +99,18 @@ def render_spec(spec: LtfSpec) -> str:
 
 
 def _weighted_sums(spec: LtfSpec) -> np.ndarray:
-    """w . x for every input index, by doubling over coordinates.
+    """w . x for every input index, doubling in place over coordinates.
 
-    Coordinate i occupies bit (i-1), so appending a coordinate extends the
-    array with the -w half (bit clear) followed by the +w half (bit set).
-    Falls back to Python integers if |w|_1 could approach int64 limits.
+    Coordinate i occupies bit (i-1): the bit-set half [h, 2h), h = 2^(i-1),
+    is the first h sums plus w_i, then those sums take away w_i. Falls back
+    to Python integers if |w|_1 could approach int64 limits.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
-    dtype = np.int64 if bound < 2**62 else object
-    sums = np.zeros(1, dtype=dtype)
-    for w in spec.weights:
-        sums = np.concatenate([sums - w, sums + w])
+    sums = np.zeros(1 << spec.n, dtype=np.int64 if bound < 2**62 else object)
+    for i, w in enumerate(spec.weights):
+        h = 1 << i
+        np.add(sums[:h], w, out=sums[h : 2 * h])
+        sums[:h] -= w
     return sums
 
 
@@ -130,8 +131,8 @@ def _materialize_with_tie(spec: LtfSpec) -> tuple[BooleanFunction, int | None]:
     tie = _first_tie(sums, spec.threshold)
     if tie is not None and spec.tie_policy == TIE_REJECT:
         raise TieEncountered(spec, tie)
-    signs = np.where(sums > spec.threshold, 1, -1).astype(np.int8)
-    return BooleanFunction.from_signs(signs), tie
+    packed = np.packbits(sums > spec.threshold, bitorder="little").tobytes()
+    return BooleanFunction(spec.n, int.from_bytes(packed, "little")), tie
 
 
 def materialize(spec: LtfSpec) -> BooleanFunction:
@@ -176,13 +177,12 @@ def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any coordinate from -1 to +1 never lowers f.
 
     Scans each coordinate's hypercube edges via packed-table shifts: a
-    violation is an index pair (j, j + stride) valued (+1, -1).
+    violation is an index pair (j, j + stride) valued (+1, -1), a bit of
+    t & ~(t >> stride) on the edge's bit-clear end.
     """
+    t = f.table
     for i in range(f.n):
         stride = 1 << i
-        m = low_half_mask(f.size, stride)
-        low = f.table & m
-        high = (f.table >> stride) & m
-        if low & ~high:
+        if t & ~(t >> stride) & low_half_mask(f.size, stride):
             return False
     return True

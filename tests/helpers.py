@@ -50,6 +50,33 @@ def random_monotone_spec(n: int, rng, max_weight: int = 7) -> LtfSpec:
     return LtfSpec(tuple(w))
 
 
+def weighted_sums_oracle(spec: LtfSpec) -> np.ndarray:
+    """w . x for every input index by concatenation, one new array per weight.
+
+    Appending a coordinate extends the array with the -w half (bit clear)
+    followed by the +w half (bit set). Same dtype rule as the library:
+    int64, or Python integers once |w|_1 + |theta| reaches 2^62. The
+    reference that the in-place ``ltf._weighted_sums`` must equal exactly.
+    """
+    bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
+    sums = np.zeros(1, dtype=np.int64 if bound < 2**62 else object)
+    for w in spec.weights:
+        sums = np.concatenate([sums - w, sums + w])
+    return sums
+
+
+def table_oracle(sums: np.ndarray, theta: int) -> tuple[BooleanFunction, int | None]:
+    """(table with ties sent to -1, first tie index or None) from weighted sums.
+
+    The table goes through an int8 +-1 vector and ``from_signs``; the
+    reference for ``ltf._materialize_with_tie``, which packs the comparison
+    straight to bits.
+    """
+    hits = np.flatnonzero(sums == theta)
+    signs = np.where(sums > theta, 1, -1).astype(np.int8)
+    return BooleanFunction.from_signs(signs), int(hits[0]) if hits.size else None
+
+
 def negate_subset(f: BooleanFunction, mask: int) -> BooleanFunction:
     """g(x) = f(x with the coordinates in ``mask`` negated)."""
     idx = np.arange(f.size)

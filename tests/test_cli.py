@@ -199,6 +199,25 @@ def test_compare_identical_specs_all_zero_diff(tmp_path, capsys):
         assert line.split(",")[3] == "0"
 
 
+def test_compare_biased_pair_returns_consistent(tmp_path):
+    # OR_3 against Maj_3: D'(0) = 9/16 > 0 but D(0) = -9/16, and
+    # D = -(1 - rho)(9/16 + 3 rho^2/16) <= 0 on [0, 1], so no witness search
+    # may start; the timeout catches one that never ends.
+    out_csv = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "boolfun", "compare", "1,1,1@-2", "1,1,1", "--out", str(out_csv)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    results = json.loads(proc.stdout)["results"]
+    assert results["verdict"] == "consistent"
+    assert results["small_rho_witness"] is None
+    assert from_exact(results["diff_poly"][0]) == Fraction(-9, 16)
+    assert from_exact(results["margin"]) == Fraction(9, 16)
+
+
 def test_compare_arity_mismatch_exit_2(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "compare", "1,1,1", "1,1,1,1,1", "--out", str(tmp_path / "x.csv")
@@ -360,7 +379,13 @@ def test_search_io_failure_exit_4(tmp_path, capsys):
 
 def test_table_outputs():
     # via subprocess to pin the whole stdout contract, newline included
-    for spec, expected in (("1", "02"), ("1,1,1", "e8"), ("2,2,1,1,1", "88e8e8ee")):
+    # The last spec has |w|_1 >= 2^62, so its sums run in Python integers.
+    for spec, expected in (
+        ("1", "02"),
+        ("1,1,1", "e8"),
+        ("2,2,1,1,1", "88e8e8ee"),
+        ("4611686018427387905,3,1@-2", "aa"),
+    ):
         proc = subprocess.run(
             [sys.executable, "-m", "boolfun", "table", spec],
             capture_output=True,

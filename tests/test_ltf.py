@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from boolfun import (
+    TIE_REJECT,
+    TIE_TO_MINUS_ONE,
     BooleanFunction,
     LtfSpec,
     TieEncountered,
@@ -20,8 +22,9 @@ from boolfun import (
     signs_to_index,
     tie_witness,
 )
+from boolfun import ltf
 
-from helpers import random_monotone_spec
+from helpers import random_monotone_spec, table_oracle, weighted_sums_oracle
 
 
 def test_materialize_dictator():
@@ -56,6 +59,57 @@ def test_tie_mapped_to_minus_one():
     f = materialize(spec)
     assert f.evaluate(7) == -1  # the tied input
     assert f.evaluate(signs_to_index((1, 1, 1, 1, 1))) == 1
+
+
+def assert_matches_oracle(weights, theta):
+    """Sums, first tie and table equal the concatenation oracle's, under both
+    tie policies; reject raises at the oracle's first tie."""
+    expected_sums = weighted_sums_oracle(LtfSpec(weights, theta))
+    sums = ltf._weighted_sums(LtfSpec(weights, theta))
+    assert sums.dtype == expected_sums.dtype and np.array_equal(sums, expected_sums)
+    del sums
+    expected, tie = table_oracle(expected_sums, theta)
+    del expected_sums
+    assert tie_witness(LtfSpec(weights, theta)) == tie
+    for policy in (TIE_REJECT, TIE_TO_MINUS_ONE):
+        spec = LtfSpec(weights, theta, policy)
+        if tie is not None and policy == TIE_REJECT:
+            with pytest.raises(TieEncountered) as err:
+                materialize(spec)
+            assert err.value.index == tie
+        else:
+            assert ltf._materialize_with_tie(spec) == (expected, tie)
+
+
+@pytest.mark.parametrize("n, count", [(1, 12), (5, 12), (13, 4), (24, 2)])
+def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
+    # Every w . x has the parity of sum(w). theta shares it on even k, so
+    # ties can occur, and differs on odd k, so none can: both are crossed.
+    rng = np.random.default_rng(n)
+    for k in range(count):
+        weights = tuple(int(x) for x in rng.integers(-3, 4, size=n))
+        theta = int(rng.integers(-n, n + 1))
+        theta += (theta - sum(weights) + k) % 2
+        assert_matches_oracle(weights, theta)
+
+
+def test_huge_weights_take_the_object_path():
+    # |w|_1 + |theta| >= 2^62 switches the sums to Python integers.
+    spec = LtfSpec((2**62 + 1, 3, 1), -2)
+    assert ltf._weighted_sums(spec).dtype == object
+    assert materialize(spec).to_hex() == "aa"  # f = x_1
+    spec = LtfSpec((1, 1, 1), 2**62 + 1, TIE_TO_MINUS_ONE)
+    assert ltf._weighted_sums(spec).dtype == object
+    assert materialize(spec).to_hex() == "00"
+    rng = np.random.default_rng(62)
+    for k in range(6):
+        weights = (2**62 + int(rng.integers(0, 4)),) + tuple(
+            int(a) * 2**61 + int(b) for a, b in rng.integers(-3, 4, size=(5, 2))
+        )
+        # theta = w . x for a random x, so even k always ties.
+        x = rng.choice([-1, 1], size=6)
+        theta = sum(w * int(s) for w, s in zip(weights, x)) + k % 2
+        assert_matches_oracle(weights, theta)
 
 
 def test_majority_basics():

@@ -11,8 +11,10 @@ from boolfun import (
     LtfSpec,
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
+    VERDICT_REFUTES,
     StabilityPolynomial,
     coefficient,
+    compare_stability,
     complement_index,
     flip_coordinate,
     influence,
@@ -189,6 +191,35 @@ def test_integer_horner_equals_fraction_horner(weights, rho):
     value = StabilityPolynomial(tuple(weights)).evaluate(rho)
     assert isinstance(value, Fraction)
     assert value == horner_oracle(weights, rho)
+
+
+@st.composite
+def threshold_spec_pairs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+
+    def spec():
+        weights = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        # theta = 0 with an odd weight sum is tie-free and odd, hence unbiased:
+        # such pairs have D(0) = 0, where a refutation is possible.
+        theta = draw(st.just(0) | st.integers(-n, n))
+        return LtfSpec(tuple(weights), theta, TIE_TO_MINUS_ONE)
+
+    return spec(), spec()
+
+
+@settings(max_examples=200)
+@given(threshold_spec_pairs(), st.sampled_from([2, 8, 64]))
+@example((LtfSpec((1, 1, 1), -2), LtfSpec((1, 1, 1))), 256)
+@example((LtfSpec((2, 2, 1, 1, 1)), LtfSpec((1, 1, 1, 1, 1))), 2)
+def test_compare_refutes_only_with_a_checked_witness(pair, grid):
+    f, g = (materialize(spec) for spec in pair)
+    report = compare_stability(f, g, grid)
+    if report.verdict != VERDICT_REFUTES:
+        assert report.small_rho_witness is None
+        return
+    rho, value = report.small_rho_witness
+    assert report.diff_poly[0] == 0 and report.margin > 0 and value > 0
+    assert value == stability_oracle(g, g, rho) - stability_oracle(f, f, rho)
 
 
 @given(boolean_functions(max_n=8))
