@@ -1,9 +1,10 @@
 """Searching small weight vectors for functions less stable than majority.
 
 The search walks canonical weight vectors (nonincreasing, entries in
-[1, max_weight], gcd 1) in blocks, computes every block's weighted sums and
-Chow vectors with two matrix products instead of a truth table per vector,
-keeps the unbiased ones, and reports every W_1 strictly below majority's.
+[1, max_weight], gcd 1) in blocks, computes every block's weighted sums in
+one pass and counts its Chow vectors instead of building a truth table per
+vector, keeps the unbiased ones, and reports every W_1 strictly below
+majority's.
 Each reported function is tie-free, odd and monotone by construction; the
 table predicates below confirm it. Coordinate permutations and sign flips
 never change degree weights and common scaling never changes the function,

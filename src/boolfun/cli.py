@@ -167,8 +167,10 @@ def cmd_verify(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_grid(args.grid)
-    f = materialize(parse_spec(args.spec_f))
-    g = materialize(parse_spec(args.spec_g))
+    spec_f, spec_g = parse_spec(args.spec_f), parse_spec(args.spec_g)
+    if spec_f.n != spec_g.n:
+        raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
+    f, g = materialize(spec_f), materialize(spec_g)
     report = compare_stability(f, g, args.grid)
     lines = ["rho,stab_f,stab_g,diff"]
     for rho, diff in report.grid:

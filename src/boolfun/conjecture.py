@@ -26,6 +26,7 @@ from .fourier import (
 )
 from .ltf import (
     LtfSpec,
+    _sums_by_doubling,
     counterexample,
     is_monotone,
     is_unbiased,
@@ -41,8 +42,8 @@ SEARCH_MAX_ARITY = 9
 # Upper bound on the nonincreasing vectors a search may enumerate,
 # C(n + max_weight - 1, n); (9, 15) is the largest admitted at n = 9.
 SEARCH_MAX_VECTORS = 10**6
-# Vectors per screened block: the block's temporaries hold
-# SEARCH_BLOCK * 2^n float64 entries each, 1 MiB at n = 9.
+# Vectors per screened block: the block's weighted sums hold
+# SEARCH_BLOCK * 2^n int64 entries, 1 MiB at n = 9.
 SEARCH_BLOCK = 256
 
 # Largest rho grid (intervals) that compare_stability and crossover_scan
@@ -352,10 +353,12 @@ def canonical_weight_vectors(n: int, max_weight: int):
 def _screen_block(block, *, w1_bar):
     """Screen a block of weight vectors at once; one tuple per survivor.
 
-    Each row of ``sums`` is the weighted sum over the cube in core index
-    order, so ``positive`` marks the +1 entries of the ``map_to_minus_one``
-    table (+1 iff w . x > 0), and that +-1 table times ``cube`` is 2^n times
-    the level-1 (Chow) coefficients.
+    Each row of the sums is w . x at every input index, from the doubling
+    pass that ``ltf`` materializes tables with, so ``positive`` marks the +1
+    entries of the ``map_to_minus_one`` table (+1 iff w . x > 0). On a
+    balanced row, one with 2^(n-1) of them, the Chow parameter of the
+    coordinate at each index bit is 4 * #{+1 entries with that bit set} - 2^n.
+    4^n * W_1 sums their squares over all bits, in no particular order.
 
     Every survivor of a canonical block is tie-free, odd and monotone, so
     none of these is computed. A tie at x is a tie at -x, and both map to
@@ -363,26 +366,26 @@ def _screen_block(block, *, w1_bar):
     Without ties, sign(w . (-x)) = -sign(w . x): the table is odd. Positive
     weights make it monotone.
 
-    Both products run in float64, which numpy hands to BLAS (it has no BLAS
-    path for int64). They are exact: every entry and every partial sum is an
-    integer, with |w . x| <= n * max_weight (135 at the (9, 15) edge, at
-    most 9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS),
-    |chow_i| <= 2^n and, by Parseval, sum_i chow_i^2 <= 4^n. All are far
-    below 2^53, so no summation order can round.
+    The sums are exact in int64: |w . x| <= n * max_weight, at most
+    9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS.
     The result tuples are (weights, 4^n * W_1, table hex).
     """
     n = len(block[0])
     size = 1 << n
-    cube = ((np.arange(size)[:, None] >> np.arange(n)) & 1) * 2.0 - 1.0
-    sums = np.array(block, dtype=np.float64) @ cube.T
-    positive = sums > 0
-    chow = np.where(positive, 1.0, -1.0) @ cube
+    positive = _sums_by_doubling(np.array(block, dtype=np.int64)) > 0
+    balanced = np.flatnonzero(2 * np.count_nonzero(positive, axis=1) == size)
+    positive = positive[balanced]
+    set_counts = [
+        np.count_nonzero(positive.reshape(-1, size >> (i + 1), 2, 1 << i)[:, :, 1], axis=(1, 2))
+        for i in range(n)
+    ]
+    chow = 4 * np.stack(set_counts, axis=1) - size
     w1_scaled = (chow * chow).sum(axis=1)
-    keep = (2 * positive.sum(axis=1) == size) & (w1_scaled < w1_bar)
-    rows = np.flatnonzero(keep)
+    rows = np.flatnonzero(w1_scaled < w1_bar)
     tables = np.packbits(positive[rows], axis=1, bitorder="little")
     return [
-        (block[r], int(w1_scaled[r]), t.tobytes().hex()) for r, t in zip(rows, tables)
+        (block[balanced[r]], int(w1_scaled[r]), t.tobytes().hex())
+        for r, t in zip(rows, tables)
     ]
 
 

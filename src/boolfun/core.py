@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# Byte b with its 8 bits in reverse order, as a bytes.translate table.
+_BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _check_arity(n: int) -> None:
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"arity must be a positive integer, got {n!r}")
@@ -168,8 +172,12 @@ class BooleanFunction:
 
     def negate_inputs(self) -> "BooleanFunction":
         """The function g(x) = f(-x). Involutive."""
-        # -x is the complement index, so the unpacked table simply reverses.
-        return BooleanFunction.from_signs(self.signs()[::-1])
+        # -x is the complement index, so the table's bits reverse: the packed
+        # bytes in reverse order, each byte bit-reversed. Below n = 3 the one
+        # byte's valid bits land at its top and shift back down.
+        nbytes = (self.size + 7) // 8
+        raw = self.table.to_bytes(nbytes, "little")[::-1].translate(_BIT_REVERSED)
+        return BooleanFunction(self.n, int.from_bytes(raw, "little") >> (8 * nbytes - self.size))
 
     def permute_coordinates(self, perm) -> "BooleanFunction":
         """The function g(x) = f(x_perm(1), ..., x_perm(n)).

@@ -98,20 +98,32 @@ def render_spec(spec: LtfSpec) -> str:
     return ",".join(str(w) for w in spec.weights) + f"@{spec.threshold}"
 
 
-def _weighted_sums(spec: LtfSpec) -> np.ndarray:
-    """w . x for every input index, doubling in place over coordinates.
+def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:
+    """w . x for every input index, along the last axis of ``weights``.
 
-    Coordinate i occupies bit (i-1): the bit-set half [h, 2h), h = 2^(i-1),
-    is the first h sums plus w_i, then those sums take away w_i. Falls back
-    to Python integers if |w|_1 could approach int64 limits.
+    The one place that fixes the index order: coordinate i occupies bit
+    (i-1), so for h = 2^(i-1) the bit-set half [h, 2h) is the first h sums
+    plus w_i, and then those sums take away w_i. Leading axes are stacked
+    weight vectors; the sums keep the dtype of ``weights``.
+    """
+    n = weights.shape[-1]
+    sums = np.zeros(weights.shape[:-1] + (1 << n,), dtype=weights.dtype)
+    for i in range(n):
+        h = 1 << i
+        w = weights[..., i, None]
+        np.add(sums[..., :h], w, out=sums[..., h : 2 * h])
+        sums[..., :h] -= w
+    return sums
+
+
+def _weighted_sums(spec: LtfSpec) -> np.ndarray:
+    """w . x for every input index of the spec, by ``_sums_by_doubling``.
+
+    Falls back to Python integers if |w|_1 could approach int64 limits.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
-    sums = np.zeros(1 << spec.n, dtype=np.int64 if bound < 2**62 else object)
-    for i, w in enumerate(spec.weights):
-        h = 1 << i
-        np.add(sums[:h], w, out=sums[h : 2 * h])
-        sums[:h] -= w
-    return sums
+    dtype = np.int64 if bound < 2**62 else object
+    return _sums_by_doubling(np.array(spec.weights, dtype=dtype))
 
 
 def _first_tie(sums: np.ndarray, theta: int) -> int | None:

@@ -135,6 +135,88 @@ def level_weights_oracle(e: FourierExpansion) -> tuple:
     return tuple(Fraction(int(np.sum(squares[levels == k])), denom) for k in range(e.n + 1))
 
 
+def _trim(p: list) -> list:
+    """Drop zero top coefficients (lists run from the constant term up)."""
+    while p and p[-1] == 0:
+        p = p[:-1]
+    return p
+
+
+def _sub_poly(a: list, b: list) -> list:
+    size = max(len(a), len(b))
+    a, b = a + [0] * (size - len(a)), b + [0] * (size - len(b))
+    return _trim([x - y for x, y in zip(a, b)])
+
+
+def _mul_poly(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _divmod_poly(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder of Fraction polynomials, ``den`` nonzero."""
+    num, quot = list(num), [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = num[k + len(den) - 1] / den[-1]
+        quot[k] = c
+        for j, d in enumerate(den):
+            num[k + j] -= c * d
+    return _trim(quot), _trim(num[: len(den) - 1])
+
+
+def _derivative(p: list) -> list:
+    return _trim([k * c for k, c in enumerate(p)][1:])
+
+
+def _gcd_poly(a: list, b: list) -> list:
+    """Monic gcd by Euclid's algorithm."""
+    while b:
+        a, b = b, _divmod_poly(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def odd_root_sturm_chain(coeffs) -> list:
+    """Sturm chain of a polynomial's odd-multiplicity part on (0, 1), in Fractions.
+
+    ``coeffs`` runs from the constant term up. The roots at 0 and 1 are
+    divided out first; every unbiased pair has D(0) = D(1) = 0. Yun's
+    square-free split p = a_1 * a_2^2 * a_3^3 * ... gives q, the product of
+    the odd-index a_i: its roots are p's odd-multiplicity roots, each once.
+    For square-free q the chain q, q', -rem(q, q'), ... has
+    ``sign_variations(chain, a) - sign_variations(chain, b)`` distinct roots
+    in (a, b].
+    """
+    p = _trim([Fraction(c) for c in coeffs])
+    while p[0] == 0:
+        p = p[1:]
+    while sum(p) == 0:
+        p = _divmod_poly(p, [Fraction(-1), Fraction(1)])[0]
+    g = _gcd_poly(p, _derivative(p))
+    b = _divmod_poly(p, g)[0]
+    d = _sub_poly(_divmod_poly(_derivative(p), g)[0], _derivative(b))
+    q, i = [Fraction(1)], 1
+    while len(b) > 1:
+        a = _gcd_poly(b, d)
+        if i % 2:
+            q = _mul_poly(q, a)
+        b = _divmod_poly(b, a)[0]
+        d = _sub_poly(_divmod_poly(d, a)[0], _derivative(b))
+        i += 1
+    chain = [q, _derivative(q)]
+    while chain[-1]:
+        chain.append([-c for c in _divmod_poly(chain[-2], chain[-1])[1]])
+    return chain[:-1]
+
+
+def sign_variations(chain: list, x) -> int:
+    """Sign changes along the chain at x, zeros skipped."""
+    signs = [v > 0 for v in (horner_oracle(p, x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
 def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> list:
     """The weight search one candidate at a time, through full truth tables.
 

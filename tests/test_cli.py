@@ -218,12 +218,24 @@ def test_compare_biased_pair_returns_consistent(tmp_path):
     assert from_exact(results["margin"]) == Fraction(9, 16)
 
 
-def test_compare_arity_mismatch_exit_2(tmp_path, capsys):
+def test_compare_arity_mismatch_exit_2(tmp_path, capsys, monkeypatch):
+    def no_table(spec):
+        raise AssertionError("a table was built")
+
+    # The arities are compared right after parsing, before either table.
+    monkeypatch.setattr(cli, "materialize", no_table)
     code, _, err = run_cli(
         capsys, "compare", "1,1,1", "1,1,1,1,1", "--out", str(tmp_path / "x.csv")
     )
     assert code == 2
     assert "mismatch" in err
+    out_csv = tmp_path / "y.csv"
+    code, _, err = run_cli(
+        capsys, "compare", ",".join(["1"] * 24), ",".join(["1"] * 23), "--out", str(out_csv)
+    )
+    assert code == 2
+    assert "arity mismatch: 24 vs 23" in err
+    assert not out_csv.exists()
 
 
 def test_compare_io_failure_exit_4(tmp_path, capsys):

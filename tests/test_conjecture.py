@@ -35,7 +35,15 @@ from boolfun.conjecture import (
     VERDICT_REFUTES,
 )
 
-from helpers import random_function, search_oracle
+from helpers import (
+    horner_oracle,
+    level_weights_oracle,
+    odd_root_sturm_chain,
+    random_function,
+    random_monotone_spec,
+    search_oracle,
+    sign_variations,
+)
 
 
 def test_compare_identical_functions():
@@ -174,6 +182,42 @@ def test_crossover_scan_parity_sign_constant():
     assert crossover_scan(parity5, majority(5)) == []
 
 
+def test_crossover_scan_counts_odd_roots_by_sturm():
+    # D changes sign on (0, 1) exactly at its odd-multiplicity roots, so the
+    # scan's bracket count must equal their Sturm count. The scan compares
+    # consecutive nonzero samples at 1/256 spacing, so it cannot see two such
+    # roots between the same pair of samples, nor one below the first
+    # nonzero sample or above the last. Those pairs are counted in
+    # ``unresolved`` and not asserted on. This seed gives 18 pairs with
+    # crossings and no unresolved pair.
+    rng = np.random.default_rng(20)
+    resolution = 256
+    crossing, unresolved = 0, []
+    for n in (5, 7, 9, 11):
+        for _ in range(30):
+            f, g = (materialize(random_monotone_spec(n, rng)) for _ in range(2))
+            diff = [
+                b - a for a, b in zip(level_weights_oracle(wht(f)), level_weights_oracle(wht(g)))
+            ]
+            brackets = crossover_scan(f, g, resolution)
+            if not any(diff):
+                assert brackets == []
+                continue
+            chain = odd_root_sturm_chain(diff)
+            roots = sign_variations(chain, 0) - sign_variations(chain, 1)
+            if roots:
+                grid = [Fraction(t, resolution) for t in range(1, resolution)]
+                stops = [0] + [x for x in grid if horner_oracle(diff, x) != 0] + [1]
+                v = [sign_variations(chain, x) for x in stops]
+                per_gap = [a - b for a, b in zip(v, v[1:])]
+                if per_gap[0] or per_gap[-1] or max(per_gap) > 1:
+                    unresolved.append((f, g))
+                    continue
+            assert len(brackets) == roots
+            crossing += roots > 0
+    assert crossing >= 10
+
+
 def test_crossover_scan_validation():
     with pytest.raises(ValueError):
         crossover_scan(majority(3), majority(5))
@@ -298,7 +342,7 @@ def test_screen_block_rows_match_table_route():
     # Signed weights give non-monotone rows, which canonical vectors never do,
     # and even sums give tie rows, which the unbiased filter alone must drop;
     # a bar above 4^n keeps every unbiased row. n = 9 with weights up to 15 is
-    # the SEARCH_MAX_VECTORS edge of the float64 products; the appended rows
+    # the SEARCH_MAX_VECTORS edge of the int64 sums; the appended rows
     # reach |w . x| = n * bound.
     rng = np.random.default_rng(7)
     for n, bound in ((3, 4), (5, 4), (7, 4), (9, 15)):
@@ -317,6 +361,12 @@ def test_screen_block_rows_match_table_route():
         assert rows == expected
         assert all(type(row[1]) is int for row in rows)
         assert any(tie_witness(LtfSpec(w)) is not None for w in block)
+
+
+def test_screen_block_with_no_balanced_row():
+    # Even weight sums tie, so every row is biased and the counting runs
+    # over an empty stack.
+    assert conjecture._screen_block([(2, 1, 1), (1, 1, 0)], w1_bar=4**3 + 1) == []
 
 
 def test_search_canonicalization_soundness_n5_w2():

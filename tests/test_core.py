@@ -91,6 +91,15 @@ def test_negate_inputs_complement_identity():
         assert g.evaluate(j) == f.evaluate(complement_index(j, f.n))
 
 
+def test_negate_inputs_equals_reversed_signs():
+    # The packed byte-reversal route against unpacking, reversing and
+    # repacking, across the one-byte shifts (n < 3) up to the arity cap.
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 24):
+        f = random_function(n, rng)
+        assert f.negate_inputs() == BooleanFunction.from_signs(f.signs()[::-1])
+
+
 def test_permute_identity():
     f = counterexample()
     assert f.permute_coordinates((1, 2, 3, 4, 5)) == f

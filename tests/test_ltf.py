@@ -86,11 +86,21 @@ def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
     # Every w . x has the parity of sum(w). theta shares it on even k, so
     # ties can occur, and differs on odd k, so none can: both are crossed.
     rng = np.random.default_rng(n)
+    block = []
     for k in range(count):
         weights = tuple(int(x) for x in rng.integers(-3, 4, size=n))
         theta = int(rng.integers(-n, n + 1))
         theta += (theta - sum(weights) + k) % 2
         assert_matches_oracle(weights, theta)
+        block.append(weights)
+    # The doubling routine on the stacked (count, n) block, as the search
+    # screen calls it, equals the oracle row by row. At n = 24 the stack
+    # would hold 256 MiB, so it stops at n = 13.
+    if n <= 13:
+        sums = ltf._sums_by_doubling(np.array(block, dtype=np.int64))
+        assert sums.shape == (count, 1 << n)
+        for weights, row in zip(block, sums):
+            assert np.array_equal(row, weighted_sums_oracle(LtfSpec(weights)))
 
 
 def test_huge_weights_take_the_object_path():
