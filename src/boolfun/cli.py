@@ -12,6 +12,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import stat
 import sys
 from fractions import Fraction
 
@@ -65,6 +67,19 @@ def decimal17(x: Fraction) -> str:
 def render_document(doc: dict) -> str:
     """Canonical rendering: parsing and re-rendering is byte-identical."""
     return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def _write_out(path: str, parts) -> None:
+    """Write ``parts`` over the old bytes at ``path``, then cut a regular file there.
+
+    No O_TRUNC: on ext4 a truncating open of a just-rewritten file waits for
+    the old data to reach the disk. A pipe or /dev/null cannot be truncated.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w") as handle:
+        handle.writelines(parts)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            handle.truncate()
 
 
 def _document(command: str, inputs: dict, results) -> dict:
@@ -172,13 +187,12 @@ def cmd_compare(args) -> int:
         raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
     f, g = materialize(spec_f), materialize(spec_g)
     report = compare_stability(f, g, args.grid)
-    lines = ["rho,stab_f,stab_g,diff"]
+    lines = ["rho,stab_f,stab_g,diff\n"]
     for rho, diff in report.grid:
         sf = report.poly_candidate.evaluate(rho)
         sg = sf + diff  # diff is Stab_g - Stab_f, exactly
-        lines.append(f"{decimal17(rho)},{decimal17(sf)},{decimal17(sg)},{decimal17(diff)}")
-    with open(args.out, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        lines.append(f"{decimal17(rho)},{decimal17(sf)},{decimal17(sg)},{decimal17(diff)}\n")
+    _write_out(args.out, lines)
     bracket = None
     if report.crossover_bracket is not None:
         lo, hi = report.crossover_bracket
@@ -230,12 +244,12 @@ _LIST_KEY = '"counterexamples": '
 _SLOT_TEXT = _LIST_KEY + json.dumps(_LIST_SLOT)
 
 
-def _render_around_list(doc: dict) -> tuple[str, str]:
-    """The rendering of ``doc`` before and after its counterexample list."""
+def _spliced(doc: dict, listing: str) -> tuple[str, str, str]:
+    """``doc`` rendered with ``listing`` in its list slot, in three parts ending in a newline."""
     parts = render_document(doc).split(_SLOT_TEXT)
     if len(parts) != 2:
         raise RuntimeError(f"expected one list slot in the document, found {len(parts) - 1}")
-    return parts[0] + _LIST_KEY, parts[1]
+    return parts[0] + _LIST_KEY, listing, parts[1] + "\n"
 
 
 def cmd_search(args) -> int:
@@ -243,39 +257,19 @@ def cmd_search(args) -> int:
         raise ValueError("workers must be at least 1")
     if args.parallel > MAX_WORKERS:
         raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
-    results = search_counterexamples(args.n, args.max_weight)
+    found = search_counterexamples(args.n, args.max_weight)
     # Both documents hold the list at depth 2 (results -> counterexamples), so
     # one rendering, indented 4 more spaces, is spliced into each. A JSON string
     # holds no raw newline, so only structural lines move.
-    listing = render_document([_search_entry(r) for r in results]).replace("\n", "\n    ")
+    listing = render_document([_search_entry(r) for r in found]).replace("\n", "\n    ")
+    inputs = {"n": args.n, "max_weight": args.max_weight, "require_tie_free": not args.allow_ties}
+    results = {"count": len(found), "counterexamples": _LIST_SLOT}
     # The results file deliberately omits --parallel: it does not change the
     # search, and the file is contractually byte-identical across it.
-    file_doc = _document(
-        "search",
-        {
-            "n": args.n,
-            "max_weight": args.max_weight,
-            "require_tie_free": not args.allow_ties,
-        },
-        {"count": len(results), "counterexamples": _LIST_SLOT},
-    )
-    head, tail = _render_around_list(file_doc)
-    with open(args.out, "w") as handle:
-        handle.write(head)
-        handle.write(listing)
-        handle.write(tail + "\n")
-    inputs = {
-        "n": args.n,
-        "max_weight": args.max_weight,
-        "parallel": args.parallel,
-        "require_tie_free": not args.allow_ties,
-        "out": args.out,
-    }
-    stdout_doc = _document(
-        "search", inputs, {"count": len(results), "out": args.out, "counterexamples": _LIST_SLOT}
-    )
-    head, tail = _render_around_list(stdout_doc)
-    print(head, listing, tail, sep="")
+    _write_out(args.out, _spliced(_document("search", inputs, results), listing))
+    inputs.update(parallel=args.parallel, out=args.out)
+    results["out"] = args.out
+    sys.stdout.writelines(_spliced(_document("search", inputs, results), listing))
     return EXIT_OK
 
 

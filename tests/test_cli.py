@@ -3,9 +3,11 @@
 import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +27,8 @@ from boolfun import (
 from boolfun.cli import decimal17, main
 
 from helpers import horner_oracle, render_search_oracle
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(capsys, *argv):
@@ -387,6 +391,48 @@ def test_search_io_failure_exit_4(tmp_path, capsys):
         capsys, "search", "5", "2", "--out", str(tmp_path / "missing" / "x.json")
     )
     assert code == 4
+
+
+@pytest.mark.parametrize(
+    "argv, golden",
+    [
+        (["compare", "2,2,1,1,1", "1,1,1,1,1"], "compare_maj5.out.csv"),
+        (["search", "7", "3"], "search_7_3_serial.out.json"),
+    ],
+    ids=["compare", "search"],
+)
+def test_out_file_written_in_place(argv, golden, tmp_path, capsys, monkeypatch):
+    expected = (GOLDEN / golden).read_bytes()
+    out_path = tmp_path / "out"
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *rest):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *rest)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    inodes = []
+    for _ in range(2):
+        assert run_cli(capsys, *argv, "--out", str(out_path))[0] == 0
+        assert out_path.read_bytes() == expected
+        inodes.append(out_path.stat().st_ino)
+    assert inodes[0] == inodes[1]
+    flags = [f for path, f in opened if path == str(out_path)]
+    assert len(flags) == 2
+    assert not any(f & os.O_TRUNC for f in flags)
+
+    # A symlinked --out stays a link; its longer target is overwritten and cut.
+    target = tmp_path / "target"
+    target.write_bytes(expected + b"stale" * 1000)
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--out", str(link))[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == expected
+
+    # /dev/null is written but not truncated.
+    assert run_cli(capsys, *argv, "--out", os.devnull)[0] == 0
 
 
 def test_table_outputs():
