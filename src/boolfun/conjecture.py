@@ -96,7 +96,7 @@ def _refine_bracket(diff: StabilityPolynomial, lo, hi, lo_sign):
 
 
 def _sign_change_brackets(diff: StabilityPolynomial, samples):
-    """Brackets for every sign change of the polynomial inside (0, 1).
+    """Lazily bisected brackets for every sign change of the polynomial in (0, 1).
 
     ``samples`` is the ascending sequence of (rho, value) pairs over [0, 1].
     Zero-valued samples carry no sign, so the scan compares consecutive
@@ -106,11 +106,11 @@ def _sign_change_brackets(diff: StabilityPolynomial, samples):
     marks that exact rational root, with opposite signs on either side.
     """
     nonzero = [(rho, _sign(val)) for rho, val in samples if val != 0]
-    return [
+    return (
         _refine_bracket(diff, r0, r1, s0)
         for (r0, s0), (r1, s1) in zip(nonzero, nonzero[1:])
         if s0 != s1
-    ]
+    )
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,6 @@ def compare_stability(
     """
     poly_f, diff, grid = _sampled_difference(candidate, reference, grid_size)
     margin = diff.weights[1]
-    brackets = _sign_change_brackets(diff, grid)
     if diff.weights[0] == 0 and margin > 0:
         verdict = VERDICT_REFUTES
         witness = _small_rho_witness(diff, grid)
@@ -215,7 +214,7 @@ def compare_stability(
         grid=grid,
         margin=margin,
         verdict=verdict,
-        crossover_bracket=brackets[0] if brackets else None,
+        crossover_bracket=next(_sign_change_brackets(diff, grid), None),
         small_rho_witness=witness,
     )
 
@@ -231,7 +230,7 @@ def crossover_scan(
     the caller-visible bound on what the scan can distinguish.
     """
     _, diff, samples = _sampled_difference(candidate, reference, resolution)
-    return _sign_change_brackets(diff, samples)
+    return list(_sign_change_brackets(diff, samples))
 
 
 @dataclass(frozen=True)
@@ -353,10 +352,10 @@ def canonical_weight_vectors(n: int, max_weight: int):
 def _screen_block(block, *, w1_bar):
     """Screen a block of weight vectors at once; one tuple per survivor.
 
-    Each row of the sums is w . x at every input index, from the doubling
+    Each column of the sums is w . x at every input index, from the doubling
     pass that ``ltf`` materializes tables with, so ``positive`` marks the +1
     entries of the ``map_to_minus_one`` table (+1 iff w . x > 0). On a
-    balanced row, one with 2^(n-1) of them, the Chow parameter of the
+    balanced column, one with 2^(n-1) of them, the Chow parameter of the
     coordinate at each index bit is 4 * #{+1 entries with that bit set} - 2^n.
     4^n * W_1 sums their squares over all bits, in no particular order.
 
@@ -368,23 +367,23 @@ def _screen_block(block, *, w1_bar):
 
     The sums are exact in int64: |w . x| <= n * max_weight, at most
     9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS.
-    The result tuples are (weights, 4^n * W_1, table hex).
+    The result tuples are (weights, 4^n * W_1, packed table bytes).
     """
     n = len(block[0])
     size = 1 << n
-    positive = _sums_by_doubling(np.array(block, dtype=np.int64)) > 0
-    balanced = np.flatnonzero(2 * np.count_nonzero(positive, axis=1) == size)
-    positive = positive[balanced]
+    positive = _sums_by_doubling(np.array(block, dtype=np.int64).T) > 0
+    balanced = np.flatnonzero(2 * np.count_nonzero(positive, axis=0) == size)
+    positive = positive[:, balanced]
     set_counts = [
-        np.count_nonzero(positive.reshape(-1, size >> (i + 1), 2, 1 << i)[:, :, 1], axis=(1, 2))
+        np.count_nonzero(positive.reshape(size >> (i + 1), 2, 1 << i, -1)[:, 1], axis=(0, 1))
         for i in range(n)
     ]
     chow = 4 * np.stack(set_counts, axis=1) - size
     w1_scaled = (chow * chow).sum(axis=1)
     rows = np.flatnonzero(w1_scaled < w1_bar)
-    tables = np.packbits(positive[rows], axis=1, bitorder="little")
+    tables = np.packbits(positive[:, rows], axis=0, bitorder="little").T
     return [
-        (block[balanced[r]], int(w1_scaled[r]), t.tobytes().hex())
+        (block[balanced[r]], int(w1_scaled[r]), t.tobytes())
         for r, t in zip(rows, tables)
     ]
 
@@ -412,25 +411,24 @@ def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
             f"vectors, over the limit of {SEARCH_MAX_VECTORS}"
         )
     scale = 4**n
-    w1_majority = degree_weight(wht(majority(n)), 1)
+    # Each of Maj_n's n Chow parameters is 2 * C(n-1, (n-1)/2), twice the
+    # number of settings of the other n-1 coordinates where that one is pivotal.
+    w1_bar = n * (2 * math.comb(n - 1, n // 2)) ** 2
+    w1_majority = Fraction(w1_bar, scale)
     vectors = canonical_weight_vectors(n, max_weight)
-    w1_bar = int(w1_majority * scale)
-    seen = set()
-    rows = []
+    unique = {}
     for block in iter(lambda: list(islice(vectors, SEARCH_BLOCK)), []):
         for row in _screen_block(block, w1_bar=w1_bar):
-            if row[2] not in seen:
-                seen.add(row[2])
-                rows.append(row)
+            unique.setdefault(row[2], row)
     # Every row shares w1_majority, so margin descending is 4^n * W_1 ascending.
-    rows.sort(key=lambda row: (row[1], row[0]))
+    rows = sorted(unique.values(), key=lambda row: (row[1], row[0]))
     return [
         SearchResult(
             spec=LtfSpec(weights),
             w1=Fraction(w1_scaled, scale),
             w1_majority=w1_majority,
             margin=Fraction(w1_bar - w1_scaled, scale),  # w1_bar is 4^n * w1_majority
-            table_hex=table_hex,
+            table_hex=table.hex(),
         )
-        for weights, w1_scaled, table_hex in rows
+        for weights, w1_scaled, table in rows
     ]

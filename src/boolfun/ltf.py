@@ -99,20 +99,19 @@ def render_spec(spec: LtfSpec) -> str:
 
 
 def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:
-    """w . x for every input index, along the last axis of ``weights``.
+    """w . x for every input index, along the first axis of ``weights``.
 
     The one place that fixes the index order: coordinate i occupies bit
     (i-1), so for h = 2^(i-1) the bit-set half [h, 2h) is the first h sums
-    plus w_i, and then those sums take away w_i. Leading axes are stacked
-    weight vectors; the sums keep the dtype of ``weights``.
+    plus w_i, and then those sums take away w_i. ``weights`` has shape
+    (n, *batch), trailing axes holding stacked weight vectors as columns;
+    the sums have shape (2^n, *batch) and keep the dtype of ``weights``.
     """
-    n = weights.shape[-1]
-    sums = np.zeros(weights.shape[:-1] + (1 << n,), dtype=weights.dtype)
-    for i in range(n):
+    sums = np.zeros((1 << len(weights),) + weights.shape[1:], dtype=weights.dtype)
+    for i, w in enumerate(weights):
         h = 1 << i
-        w = weights[..., i, None]
-        np.add(sums[..., :h], w, out=sums[..., h : 2 * h])
-        sums[..., :h] -= w
+        np.add(sums[:h], w, out=sums[h : 2 * h])
+        sums[:h] -= w
     return sums
 
 

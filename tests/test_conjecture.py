@@ -215,7 +215,37 @@ def test_crossover_scan_counts_odd_roots_by_sturm():
                     continue
             assert len(brackets) == roots
             crossing += roots > 0
+            # D(0) = 0 here, so D'(0) > 0 refutes; otherwise D stays <= 0 on
+            # (0, 1) exactly when it has no odd root there and starts negative.
+            lowest = next(c for c in diff if c)
+            if diff[1] > 0:
+                expected = VERDICT_REFUTES
+            elif roots == 0 and lowest < 0:
+                expected = VERDICT_CONSISTENT
+            else:
+                expected = VERDICT_INDETERMINATE
+            assert compare_stability(f, g, resolution).verdict == expected
     assert crossing >= 10
+
+
+def test_compare_bisects_only_the_reported_crossing(monkeypatch):
+    # This n = 9 pair crosses twice on the 1/256 grid; compare reports the
+    # first bracket and must not bisect the second.
+    f = materialize(LtfSpec((4, 3, 6, 3, 6, 5, 1, 4, 3)))
+    g = materialize(LtfSpec((5, 5, 4, 5, 7, 3, 1, 5, 6)))
+    brackets = crossover_scan(f, g, 256)
+    assert len(brackets) == 2
+    calls = []
+    original = conjecture._refine_bracket
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(conjecture, "_refine_bracket", counting)
+    report = compare_stability(f, g, 256)
+    assert len(calls) == 1
+    assert report.crossover_bracket == brackets[0]
 
 
 def test_crossover_scan_validation():
@@ -305,13 +335,28 @@ def test_search_materializes_only_majority(monkeypatch):
 
     monkeypatch.setattr(ltf, "_weighted_sums", counting)
     assert search_counterexamples(7, 3)
-    # Maj_7's table for the W_1 bar is the only one built one at a time.
-    assert passes == [(1,) * 7]
+    # The W_1 bar is majority's closed form, so no table is built one at a time.
+    assert passes == []
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+def test_search_bar_is_majority_w1(n, monkeypatch):
+    # The closed-form bar equals Maj_n's W_1 from its table at every admitted n.
+    bars = []
+    original = conjecture._screen_block
+
+    def spying(block, *, w1_bar):
+        bars.append(w1_bar)
+        return original(block, w1_bar=w1_bar)
+
+    monkeypatch.setattr(conjecture, "_screen_block", spying)
+    search_counterexamples(n, 2)
+    assert bars and set(bars) == {degree_weight(wht(majority(n)), 1) * 4**n}
 
 
 @pytest.mark.parametrize("require_tie_free", [True, False])
 @pytest.mark.parametrize(
-    "n, max_weight", [(3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (7, 5), (9, 4)]
+    "n, max_weight", [(1, 3), (3, 5), (5, 2), (5, 3), (7, 2), (7, 3), (7, 5), (9, 4)]
 )
 def test_search_matches_per_candidate_oracle(n, max_weight, require_tie_free):
     # The library has no tie mode: tie-broken theta=0 tables are biased toward
@@ -357,7 +402,9 @@ def test_screen_block_rows_match_table_route():
             f = materialize(LtfSpec(weights, 0, TIE_TO_MINUS_ONE))
             if f.ones() * 2 == f.size:
                 assert tie_witness(LtfSpec(weights)) is None
-                expected.append((weights, degree_weight(wht(f), 1) * 4**n, f.to_hex()))
+                expected.append(
+                    (weights, degree_weight(wht(f), 1) * 4**n, bytes.fromhex(f.to_hex()))
+                )
         assert rows == expected
         assert all(type(row[1]) is int for row in rows)
         assert any(tie_witness(LtfSpec(w)) is not None for w in block)

@@ -93,14 +93,14 @@ def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
         theta += (theta - sum(weights) + k) % 2
         assert_matches_oracle(weights, theta)
         block.append(weights)
-    # The doubling routine on the stacked (count, n) block, as the search
-    # screen calls it, equals the oracle row by row. At n = 24 the stack
-    # would hold 256 MiB, so it stops at n = 13.
+    # The doubling routine on the stacked block, vectors as the columns of an
+    # (n, count) array as the search screen calls it, equals the oracle column
+    # by column. At n = 24 the stack would hold 256 MiB, so it stops at n = 13.
     if n <= 13:
-        sums = ltf._sums_by_doubling(np.array(block, dtype=np.int64))
-        assert sums.shape == (count, 1 << n)
-        for weights, row in zip(block, sums):
-            assert np.array_equal(row, weighted_sums_oracle(LtfSpec(weights)))
+        sums = ltf._sums_by_doubling(np.array(block, dtype=np.int64).T)
+        assert sums.shape == (1 << n, count)
+        for weights, column in zip(block, sums.T):
+            assert np.array_equal(column, weighted_sums_oracle(LtfSpec(weights)))
 
 
 def test_huge_weights_take_the_object_path():
