@@ -223,17 +223,50 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _search_entry(r) -> dict:
-    return {
-        "spec": render_spec(r.spec),
-        "weights": list(r.spec.weights),
-        "w1": fraction_fields(r.w1),
-        "w1_majority": fraction_fields(r.w1_majority),
-        "margin": fraction_fields(r.margin),
-        # By construction: unbiased rules out ties, no tie at theta = 0 is odd, w > 0 monotone.
-        "flags": {"unbiased": True, "monotone": True, "odd": True, "tie_free": True},
-        "table_hex": r.table_hex,
-    }
+def _fraction_block(x: Fraction) -> str:
+    """``fraction_fields(x)`` as ``render_document`` lays it out at an entry's key depth."""
+    return (
+        f'{{\n          "approx": {float(x)!r},\n'
+        f'          "exact": "{x.numerator}/{x.denominator}"\n        }}'
+    )
+
+
+# By construction: unbiased rules out ties, no tie at theta = 0 is odd, w > 0 monotone.
+_FLAGS_BLOCK = (
+    '{\n          "monotone": true,\n          "odd": true,\n'
+    '          "tie_free": true,\n          "unbiased": true\n        }'
+)
+
+
+def _search_listing(found) -> list[str]:
+    """The counterexample list as ``render_document`` lays it out at depth 2, in parts.
+
+    Each entry is one f-string over a fixed schema, keys in sorted order, and
+    a float is written as its repr, as ``json`` writes it. Nothing is escaped:
+    every string value is digits, ",", "@", "-", "/" or hex. The parts are
+    never joined, so no copy of the whole list is made.
+    """
+    if not found:
+        return ["[]"]
+    parts = ["[\n"]
+    majority = None
+    for r in found:
+        # A search shares one w1_majority object, so its block is built once.
+        if r.w1_majority is not majority:
+            majority, majority_block = r.w1_majority, _fraction_block(r.w1_majority)
+        weights = ",\n          ".join(map(str, r.spec.weights))
+        parts += (
+            f'      {{\n        "flags": {_FLAGS_BLOCK},\n'
+            f'        "margin": {_fraction_block(r.margin)},\n'
+            f'        "spec": "{render_spec(r.spec)}",\n'
+            f'        "table_hex": "{r.table_hex}",\n'
+            f'        "w1": {_fraction_block(r.w1)},\n'
+            f'        "w1_majority": {majority_block},\n'
+            f'        "weights": [\n          {weights}\n        ]\n      }}',
+            ",\n",
+        )
+    parts[-1] = "\n    ]"
+    return parts
 
 
 # Stands in for the counterexample list while the rest of a document renders.
@@ -244,12 +277,12 @@ _LIST_KEY = '"counterexamples": '
 _SLOT_TEXT = _LIST_KEY + json.dumps(_LIST_SLOT)
 
 
-def _spliced(doc: dict, listing: str) -> tuple[str, str, str]:
-    """``doc`` rendered with ``listing`` in its list slot, in three parts ending in a newline."""
+def _spliced(doc: dict, listing: list[str]) -> tuple[str, ...]:
+    """``doc`` rendered with the ``listing`` parts in its list slot, ending in a newline."""
     parts = render_document(doc).split(_SLOT_TEXT)
     if len(parts) != 2:
         raise RuntimeError(f"expected one list slot in the document, found {len(parts) - 1}")
-    return parts[0] + _LIST_KEY, listing, parts[1] + "\n"
+    return (parts[0] + _LIST_KEY, *listing, parts[1] + "\n")
 
 
 def cmd_search(args) -> int:
@@ -259,9 +292,8 @@ def cmd_search(args) -> int:
         raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
     found = search_counterexamples(args.n, args.max_weight)
     # Both documents hold the list at depth 2 (results -> counterexamples), so
-    # one rendering, indented 4 more spaces, is spliced into each. A JSON string
-    # holds no raw newline, so only structural lines move.
-    listing = render_document([_search_entry(r) for r in found]).replace("\n", "\n    ")
+    # the one listing is spliced into each.
+    listing = _search_listing(found)
     inputs = {"n": args.n, "max_weight": args.max_weight, "require_tie_free": not args.allow_ties}
     results = {"count": len(found), "counterexamples": _LIST_SLOT}
     # The results file deliberately omits --parallel: it does not change the

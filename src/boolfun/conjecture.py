@@ -372,12 +372,17 @@ def _screen_block(block, *, w1_bar):
     n = len(block[0])
     size = 1 << n
     positive = _sums_by_doubling(np.array(block, dtype=np.int64).T) > 0
-    balanced = np.flatnonzero(2 * np.count_nonzero(positive, axis=0) == size)
-    positive = positive[:, balanced]
-    set_counts = [
-        np.count_nonzero(positive.reshape(size >> (i + 1), 2, 1 << i, -1)[:, 1], axis=(0, 1))
-        for i in range(n)
-    ]
+    balanced = np.flatnonzero(2 * positive.sum(axis=0, dtype=np.int32) == size)
+    positive = positive.take(balanced, axis=1)
+    # One halving pass, top index bit first: the count for bit i is the sum
+    # of the upper half, and adding the halves folds that bit away. int16
+    # holds every partial count, at most 2^n <= 512 inside SEARCH_MAX_ARITY.
+    set_counts = []
+    fold = positive.astype(np.int16)
+    for i in reversed(range(n)):
+        h = 1 << i
+        set_counts.append(fold[h:].sum(axis=0))
+        fold = fold[:h] + fold[h:]
     chow = 4 * np.stack(set_counts, axis=1) - size
     w1_scaled = (chow * chow).sum(axis=1)
     rows = np.flatnonzero(w1_scaled < w1_bar)

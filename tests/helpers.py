@@ -21,7 +21,8 @@ from boolfun import (
     materialize,
     wht,
 )
-from boolfun.cli import _document, _search_entry, render_document
+from boolfun.cli import _document, fraction_fields, render_document
+from boolfun.ltf import render_spec
 
 
 def random_function(n: int, rng) -> BooleanFunction:
@@ -260,13 +261,29 @@ def search_oracle(n: int, max_weight: int, require_tie_free: bool = True) -> lis
     return results
 
 
+def search_entry_oracle(r: SearchResult) -> dict:
+    """One counterexample entry as a dict, for ``render_document`` to lay out.
+
+    The reference for ``cli._search_listing``'s fixed-schema formatter.
+    """
+    return {
+        "spec": render_spec(r.spec),
+        "weights": list(r.spec.weights),
+        "w1": fraction_fields(r.w1),
+        "w1_majority": fraction_fields(r.w1_majority),
+        "margin": fraction_fields(r.margin),
+        "flags": {"unbiased": True, "monotone": True, "odd": True, "tie_free": True},
+        "table_hex": r.table_hex,
+    }
+
+
 def render_search_oracle(args, results) -> tuple[str, str]:
     """The results-file and stdout text of ``search``, each document rendered whole.
 
-    The reference for the CLI, which renders the counterexample list once
-    and splices it into both documents: the bytes must be equal.
+    The reference for the CLI, which formats the counterexample list once,
+    entry by entry, and splices it into both documents: the bytes must be equal.
     """
-    entries = [_search_entry(r) for r in results]
+    entries = [search_entry_oracle(r) for r in results]
     file_doc = _document(
         "search",
         {

@@ -1,17 +1,25 @@
 """Command-line contract: reports, files, and every exit code."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boolfun import (
+    LtfSpec,
+    SearchResult,
     cli,
     conjecture,
     fourier,
@@ -333,6 +341,67 @@ def test_search_spliced_list_matches_whole_documents(argv, name, tmp_path, capsy
     )
     assert out_path.read_text() == file_text
     assert out == stdout_text
+
+
+@st.composite
+def search_result_lists(draw):
+    """SearchResult lists of length 0, 1 or many, at n from 1 to 9.
+
+    A search shares one w1_majority object across its list, as here when
+    ``shared`` is drawn; otherwise each entry gets its own majority value. A
+    margin of one unit at n = 9 is 4^-9, whose float repr has an exponent.
+    """
+    n = draw(st.integers(1, 9))
+    scale = 4**n
+    shared = draw(st.booleans())
+    shared_bar = draw(st.integers(1, scale))
+    shared_majority = Fraction(shared_bar, scale)
+    table_bytes = max(1, (1 << n) // 8)
+
+    def entry():
+        bar = shared_bar if shared else draw(st.integers(1, scale))
+        w1_scaled = draw(st.integers(0, bar - 1))
+        weights = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
+        return SearchResult(
+            spec=LtfSpec(tuple(weights)),
+            w1=Fraction(w1_scaled, scale),
+            w1_majority=shared_majority if shared else Fraction(bar, scale),
+            margin=Fraction(bar - w1_scaled, scale),
+            table_hex=draw(st.binary(min_size=table_bytes, max_size=table_bytes)).hex(),
+        )
+
+    count = draw(st.one_of(st.just(0), st.just(1), st.integers(2, 12)))
+    return [entry() for _ in range(count)]
+
+
+TINY_MARGIN = [
+    SearchResult(
+        spec=LtfSpec((15,) * 9),
+        w1=Fraction(4**9 - 1, 4**9),
+        w1_majority=Fraction(1),
+        margin=Fraction(1, 4**9),
+        table_hex="00" * 64,
+    )
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(results=search_result_lists(), parallel=st.integers(1, cli.MAX_WORKERS))
+@example(results=TINY_MARGIN, parallel=1)
+def test_search_listing_matches_oracle_on_generated_results(results, parallel):
+    # cmd_search on a stubbed search: both spliced documents must be the bytes
+    # of whole-document renders of the oracle's entry dicts.
+    with tempfile.TemporaryDirectory() as tmp:
+        out_path = os.path.join(tmp, "search.json")
+        argv = ["search", "9", "15", "--parallel", str(parallel), "--out", out_path]
+        args = cli._build_parser().parse_args(argv)
+        stdout = io.StringIO()
+        with mock.patch.object(cli, "search_counterexamples", return_value=results):
+            with contextlib.redirect_stdout(stdout):
+                assert cli.main(argv) == 0
+        with open(out_path) as handle:
+            file_text = handle.read()
+    assert (file_text, stdout.getvalue()) == render_search_oracle(args, results)
 
 
 def test_search_even_arity_exit_2(tmp_path, capsys):

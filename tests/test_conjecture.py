@@ -41,6 +41,7 @@ from helpers import (
     odd_root_sturm_chain,
     random_function,
     random_monotone_spec,
+    search_entry_oracle,
     search_oracle,
     sign_variations,
 )
@@ -379,7 +380,7 @@ def test_search_workers_match_per_candidate_oracle(workers, tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(out_path.read_text())
     assert doc["results"]["counterexamples"] == json.loads(
-        json.dumps([cli._search_entry(r) for r in expected])
+        json.dumps([search_entry_oracle(r) for r in expected])
     )
 
 
