@@ -60,10 +60,6 @@ def value_fields(v):
     return fraction_fields(v) if isinstance(v, Fraction) else v
 
 
-def decimal17(x: Fraction) -> str:
-    return format(float(x), ".17g")
-
-
 def render_document(doc: dict) -> str:
     """Canonical rendering: parsing and re-rendering is byte-identical."""
     return json.dumps(doc, indent=2, sort_keys=True)
@@ -187,11 +183,18 @@ def cmd_compare(args) -> int:
         raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
     f, g = materialize(spec_f), materialize(spec_g)
     report = compare_stability(f, g, args.grid)
+    # Every column is an integer over den; int / int rounds to the nearest
+    # double, as float(Fraction) does, so no Fraction is built per row.
+    points = args.grid
+    stab_f, f_den = report.poly_candidate.grid_numerators(points)
+    d_den = report.grid_denominator
+    den = math.lcm(f_den, d_den)
+    f_scale, d_scale = den // f_den, den // d_den
     lines = ["rho,stab_f,stab_g,diff\n"]
-    for rho, diff in report.grid:
-        sf = report.poly_candidate.evaluate(rho)
+    for t, (sf, diff) in enumerate(zip(stab_f, report.grid_numerators)):
+        sf, diff = sf * f_scale, diff * d_scale
         sg = sf + diff  # diff is Stab_g - Stab_f, exactly
-        lines.append(f"{decimal17(rho)},{decimal17(sf)},{decimal17(sg)},{decimal17(diff)}\n")
+        lines.append(f"{t / points:.17g},{sf / den:.17g},{sg / den:.17g},{diff / den:.17g}\n")
     _write_out(args.out, lines)
     bracket = None
     if report.crossover_bracket is not None:

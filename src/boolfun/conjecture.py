@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations_with_replacement, islice
 
 import numpy as np
@@ -47,10 +48,10 @@ SEARCH_MAX_VECTORS = 10**6
 SEARCH_BLOCK = 256
 
 # Largest rho grid (intervals) that compare_stability and crossover_scan
-# accept; it must stay >= 4096, the crossover_scan default. Each sample is
-# one exact evaluation of the difference polynomial, and `compare` evaluates
-# the candidate's curve once more per CSV row: at 2^16 and n = 24 that is
-# ~3.5 s on 2 cores of an x86 host, on top of the ~7 s of a grid-256 run.
+# accept; it must stay >= 4096, the crossover_scan default. The samples are
+# one integer Horner pass over the grid per curve (D, and in `compare` the
+# candidate's curve for the CSV): at 2^16 and n = 24 `compare` took 2.6-3.1 s
+# in a fresh process on 2 cores of an x86 host, against 2.1-2.4 s at grid 256.
 MAX_GRID = 2**16
 
 # Sign-change brackets are narrowed to this width; they localize roots of the
@@ -95,20 +96,22 @@ def _refine_bracket(diff: StabilityPolynomial, lo, hi, lo_sign):
     return (lo, hi)
 
 
-def _sign_change_brackets(diff: StabilityPolynomial, samples):
+def _sign_change_brackets(diff: StabilityPolynomial, numerators):
     """Lazily bisected brackets for every sign change of the polynomial in (0, 1).
 
-    ``samples`` is the ascending sequence of (rho, value) pairs over [0, 1].
+    ``numerators`` are the grid samples' numerators N_0..N_G over one
+    positive denominator, so N_t has the sign of the value at t/G.
     Zero-valued samples carry no sign, so the scan compares consecutive
     nonzero signs and bisects each flip; a touch of zero with equal signs
     on both sides is a root but not a crossover and is not reported. If a
     bisection midpoint lands exactly on a root, the zero-width bracket
     marks that exact rational root, with opposite signs on either side.
     """
-    nonzero = [(rho, _sign(val)) for rho, val in samples if val != 0]
+    points = len(numerators) - 1
+    nonzero = [(t, 1 if val > 0 else -1) for t, val in enumerate(numerators) if val]
     return (
-        _refine_bracket(diff, r0, r1, s0)
-        for (r0, s0), (r1, s1) in zip(nonzero, nonzero[1:])
+        _refine_bracket(diff, Fraction(t0, points), Fraction(t1, points), s0)
+        for (t0, s0), (t1, s1) in zip(nonzero, nonzero[1:])
         if s0 != s1
     )
 
@@ -120,11 +123,21 @@ class ComparisonReport:
     arity: int
     poly_candidate: StabilityPolynomial
     diff_poly: tuple[Fraction, ...]  # D(rho) = Stab[reference] - Stab[candidate]
-    grid: tuple[tuple[Fraction, Fraction], ...]  # (rho, D(rho)) samples
+    grid_numerators: tuple[int, ...]  # N_t with D(t/G) = N_t / grid_denominator
+    grid_denominator: int
     margin: Fraction  # D'(0) = W_1[reference] - W_1[candidate]
     verdict: str
     crossover_bracket: tuple[Fraction, Fraction] | None
     small_rho_witness: tuple[Fraction, Fraction] | None  # (rho_0, D(rho_0))
+
+    @cached_property
+    def grid(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The (rho, D(rho)) samples as Fractions, built on first read."""
+        points = len(self.grid_numerators) - 1
+        return tuple(
+            (Fraction(t, points), Fraction(val, self.grid_denominator))
+            for t, val in enumerate(self.grid_numerators)
+        )
 
 
 def _check_grid(points: int) -> None:
@@ -139,7 +152,7 @@ def _check_grid(points: int) -> None:
 
 def _sampled_difference(candidate, reference, points: int):
     """The candidate's stability polynomial, D = Stab[reference] -
-    Stab[candidate], and the samples (t/points, D(t/points)) for t = 0..points.
+    Stab[candidate], and D's grid numerators and denominator at t/points.
     """
     if candidate.n != reference.n:
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
@@ -149,31 +162,27 @@ def _sampled_difference(candidate, reference, points: int):
     diff = StabilityPolynomial(
         tuple(g - f for f, g in zip(poly_f.weights, poly_g.weights))
     )
-    samples = tuple(
-        (Fraction(t, points), diff.evaluate(Fraction(t, points)))
-        for t in range(points + 1)
-    )
-    return poly_f, diff, samples
+    numerators, denom = diff.grid_numerators(points)
+    return poly_f, diff, numerators, denom
 
 
-def _small_rho_witness(diff: StabilityPolynomial, grid):
+def _small_rho_witness(diff: StabilityPolynomial, numerators, denom: int):
     """A rho_0 with D positive on every sampled point of (0, rho_0].
 
-    The positive grid prefix serves when there is one. Otherwise halve
+    The positive grid prefix serves when there is one; D(t/G) has the sign
+    of its numerator N_t, and the value there is N_t / denom. Otherwise halve
     downward from below the first grid point, so no grid sample lies in
     (0, rho_0]. With c_0 = 0 and c_1 > 0, on (0, 1]
     D(rho) >= c_1*rho - rho^2 * sum_{k>=2} |c_k|, positive once
     rho * sum_{k>=2} |c_k| < c_1, which fixes the number of halvings.
     """
-    prefix_last = None
-    for rho, val in grid[1:]:
-        if val > 0:
-            prefix_last = (rho, val)
-        else:
-            break
-    if prefix_last is not None:
-        return prefix_last
-    rho = grid[1][0] / 2
+    points = len(numerators) - 1
+    last = 0
+    while last < points and numerators[last + 1] > 0:
+        last += 1
+    if last:
+        return (Fraction(last, points), Fraction(numerators[last], denom))
+    rho = Fraction(1, 2 * points)
     tail = sum(abs(c) for c in diff.weights[2:])
     halvings = int(rho * tail / diff.weights[1]).bit_length()
     for _ in range(halvings + 1):
@@ -195,26 +204,27 @@ def compare_stability(
     ``consistent`` when no sampled difference is positive, and
     ``indeterminate`` when one is.
     """
-    poly_f, diff, grid = _sampled_difference(candidate, reference, grid_size)
+    poly_f, diff, numerators, denom = _sampled_difference(candidate, reference, grid_size)
     margin = diff.weights[1]
     if diff.weights[0] == 0 and margin > 0:
         verdict = VERDICT_REFUTES
-        witness = _small_rho_witness(diff, grid)
+        witness = _small_rho_witness(diff, numerators, denom)
     else:
         witness = None
         verdict = (
             VERDICT_CONSISTENT
-            if all(val <= 0 for _, val in grid)
+            if all(val <= 0 for val in numerators)
             else VERDICT_INDETERMINATE
         )
     return ComparisonReport(
         arity=candidate.n,
         poly_candidate=poly_f,
         diff_poly=diff.weights,
-        grid=grid,
+        grid_numerators=tuple(numerators),
+        grid_denominator=denom,
         margin=margin,
         verdict=verdict,
-        crossover_bracket=next(_sign_change_brackets(diff, grid), None),
+        crossover_bracket=next(_sign_change_brackets(diff, numerators), None),
         small_rho_witness=witness,
     )
 
@@ -229,8 +239,8 @@ def crossover_scan(
     difference is sign-constant on the sampled points only; the resolution is
     the caller-visible bound on what the scan can distinguish.
     """
-    _, diff, samples = _sampled_difference(candidate, reference, resolution)
-    return list(_sign_change_brackets(diff, samples))
+    _, diff, numerators, _ = _sampled_difference(candidate, reference, resolution)
+    return list(_sign_change_brackets(diff, numerators))
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,28 @@ class StabilityPolynomial:
             acc = acc * p + a * q_power
         return Fraction(acc, denom * q_power)
 
+    def grid_numerators(self, points: int) -> tuple[list[int], int]:
+        """([N_0..N_G], L G^d) with P(t/G) = N_t / (L G^d) for t = 0..G, G = points.
+
+        With c_k = a_k / L for k = 0..d, N_t = sum_k a_k t^k G^(d-k):
+        Horner in t over the coefficients pre-scaled by G^(d-k), with no gcd.
+        The pairs are exact but not reduced; a caller builds a Fraction only
+        where it reports one.
+        """
+        if not self.weights:
+            return [0] * (points + 1), 1
+        numerators, denom = self._integer_form
+        d = len(numerators) - 1
+        scaled = [a * points ** (d - k) for k, a in enumerate(numerators)]
+        top, rest = scaled[-1], scaled[-2::-1]
+        grid = []
+        for t in range(points + 1):
+            acc = top
+            for b in rest:
+                acc = acc * t + b
+            grid.append(acc)
+        return grid, denom * points**d
+
 
 def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
     """Butterfly stages for index bits lo..hi-1, in place on a contiguous vector.

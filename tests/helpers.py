@@ -11,6 +11,7 @@ from boolfun import (
     FourierExpansion,
     LtfSpec,
     SearchResult,
+    StabilityPolynomial,
     TieEncountered,
     canonical_weight_vectors,
     degree_weight,
@@ -21,7 +22,9 @@ from boolfun import (
     materialize,
     wht,
 )
+from boolfun import conjecture
 from boolfun.cli import _document, fraction_fields, render_document
+from boolfun.conjecture import VERDICT_CONSISTENT, VERDICT_INDETERMINATE, VERDICT_REFUTES
 from boolfun.ltf import render_spec
 
 
@@ -104,6 +107,63 @@ def horner_oracle(weights, rho) -> Fraction:
     for w in reversed(weights):
         acc = acc * rho + w
     return acc
+
+
+def decimal17(x: Fraction) -> str:
+    """A CSV cell: float(x), through ``Fraction.__float__``, to 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def csv_rows_oracle(report, grid: int) -> str:
+    """The ``compare`` CSV text by one exact evaluation per row.
+
+    Each row evaluates the candidate's curve and D at t/grid in Fractions,
+    adds them for the reference's curve and renders every cell with
+    ``decimal17``. The reference for the CLI, which writes the rows from
+    integer grid numerators: the bytes must be equal.
+    """
+    diff = StabilityPolynomial(report.diff_poly)
+    lines = ["rho,stab_f,stab_g,diff\n"]
+    for t in range(grid + 1):
+        rho = Fraction(t, grid)
+        sf, d = report.poly_candidate.evaluate(rho), diff.evaluate(rho)
+        lines.append(",".join(decimal17(x) for x in (rho, sf, sf + d, d)) + "\n")
+    return "".join(lines)
+
+
+def comparison_oracle(diff_weights, grid: int):
+    """(verdict, small-rho witness, sign-change brackets) from Fraction samples.
+
+    D is evaluated at every t/grid as a Fraction; the verdict, the
+    positive-prefix witness (or the halving fallback) and the bracket scan
+    run over those values. The reference for ``compare_stability`` and
+    ``crossover_scan``, which read the signs of integer grid numerators.
+    Bisection is shared with the library (``conjecture._refine_bracket``);
+    the scans are not.
+    """
+    diff = StabilityPolynomial(tuple(diff_weights))
+    samples = [(Fraction(t, grid), diff.evaluate(Fraction(t, grid))) for t in range(grid + 1)]
+    nonzero = [(rho, val > 0) for rho, val in samples if val != 0]
+    brackets = [
+        conjecture._refine_bracket(diff, r0, r1, 1 if p0 else -1)
+        for (r0, p0), (r1, p1) in zip(nonzero, nonzero[1:])
+        if p0 != p1
+    ]
+    c = diff.weights
+    if c[0] != 0 or c[1] <= 0:
+        positive = any(val > 0 for _, val in samples)
+        return (VERDICT_INDETERMINATE if positive else VERDICT_CONSISTENT), None, brackets
+    prefix = None
+    for rho, val in samples[1:]:
+        if val <= 0:
+            break
+        prefix = (rho, val)
+    if prefix is None:
+        rho = samples[1][0] / 2
+        while diff.evaluate(rho) <= 0:
+            rho /= 2
+        prefix = (rho, diff.evaluate(rho))
+    return VERDICT_REFUTES, prefix, brackets
 
 
 def butterfly_oracle(f: BooleanFunction) -> np.ndarray:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,9 +33,15 @@ from boolfun import (
     tie_witness,
     wht,
 )
-from boolfun.cli import decimal17, main
+from boolfun.cli import main
 
-from helpers import horner_oracle, render_search_oracle
+from helpers import (
+    csv_rows_oracle,
+    decimal17,
+    horner_oracle,
+    random_monotone_spec,
+    render_search_oracle,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -177,6 +184,50 @@ def test_compare_csv_matches_fraction_horner_at_arity_11(tmp_path, capsys):
             decimal17(horner_oracle(w_g, rho)),
             decimal17(horner_oracle(w_diff, rho)),
         ]
+
+
+def compare_csv_bytes(capsys, tmp_path, spec_f, spec_g, grid):
+    """(CLI CSV bytes, oracle CSV bytes) for one ``compare`` command."""
+    out_csv = tmp_path / "curve.csv"
+    code, _, _ = run_cli(
+        capsys, "compare", spec_f, spec_g, "--grid", str(grid), "--out", str(out_csv)
+    )
+    assert code == 0
+    f, g = (materialize(parse_spec(s)) for s in (spec_f, spec_g))
+    report = conjecture.compare_stability(f, g, grid)
+    return out_csv.read_bytes(), csv_rows_oracle(report, grid).encode()
+
+
+@pytest.mark.parametrize(
+    "name, spec_f, spec_g, grid",
+    [
+        ("compare_maj5", "2,2,1,1,1", "1,1,1,1,1", 256),
+        ("compare_crossover", "5,4,4,3,2,2,1,1,1,1,1", ",".join(["1"] * 11), 512),
+    ],
+)
+def test_compare_csv_goldens_match_row_oracle(name, spec_f, spec_g, grid, tmp_path, capsys):
+    written, oracle = compare_csv_bytes(capsys, tmp_path, spec_f, spec_g, grid)
+    assert written == oracle == (GOLDEN / f"{name}.out.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", range(1, 14))
+def test_compare_csv_matches_row_oracle_on_seeded_pairs(n, tmp_path, capsys):
+    rng = np.random.default_rng(1600 + n)
+    specs = [",".join(map(str, random_monotone_spec(n, rng).weights)) for _ in range(2)]
+    for grid in (2, 3, 7, 256, 2048):
+        written, oracle = compare_csv_bytes(capsys, tmp_path, *specs, grid)
+        assert written == oracle
+
+
+@pytest.mark.parametrize(
+    "spec_f, spec_g", [("3,-1,2@1", "1,1,1"), ("1,1,1@-2", "1,1,1"), ("1,1,1", "1,1,1@-2")]
+)
+def test_compare_csv_matches_row_oracle_off_the_unbiased_case(spec_f, spec_g, tmp_path, capsys):
+    # A threshold spec and a biased pair: D(0) != 0 and the two curves have
+    # different denominators.
+    for grid in (2, 3, 7, 256):
+        written, oracle = compare_csv_bytes(capsys, tmp_path, spec_f, spec_g, grid)
+        assert written == oracle
 
 
 def test_compare_grid_over_limit_exit_2(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from boolfun import (
     TIE_TO_MINUS_ONE,
     BooleanFunction,
     LtfSpec,
+    StabilityPolynomial,
     TieEncountered,
     canonical_weight_vectors,
     character_matrix,
@@ -36,6 +37,7 @@ from boolfun.conjecture import (
 )
 
 from helpers import (
+    comparison_oracle,
     horner_oracle,
     level_weights_oracle,
     odd_root_sturm_chain,
@@ -247,6 +249,77 @@ def test_compare_bisects_only_the_reported_crossing(monkeypatch):
     report = compare_stability(f, g, 256)
     assert len(calls) == 1
     assert report.crossover_bracket == brackets[0]
+
+
+# Hand-picked pairs for the sign scans, each at grids that sample its features:
+# counterexample vs Maj_5 at grid 2 has no positive grid prefix, so its
+# witness comes from halving; f = g samples zero everywhere; tables 300
+# and 105 (n = 4) give D = rho (1 - 2 rho)(1 - rho^2) / 8, which crosses zero
+# exactly at the sample 1/2 after a positive prefix; tables 1659 and 2016
+# give a biased D with a zero sample at 1/3 between two positive ones (a
+# touch on the grid, not a crossover); tables 24 and 15 (n = 3) give
+# D = -(1 - rho)(1 - 3 rho) / 4, crossing at the sample 1/3; Maj_3 against
+# the dictator gives D = rho (1 - rho^2) / 4, positive on all of (0, 1).
+SIGN_SCAN_CASES = [
+    (counterexample(), majority(5), (2, 4, 100)),
+    (majority(5), counterexample(), (2, 4, 100)),
+    (majority(5), majority(5), (2, 10)),
+    (BooleanFunction(4, 300), BooleanFunction(4, 105), (2, 4, 8, 12)),
+    (BooleanFunction(4, 105), BooleanFunction(4, 300), (4, 8)),
+    (BooleanFunction(4, 1659), BooleanFunction(4, 2016), (3, 6, 9)),
+    (BooleanFunction(4, 2016), BooleanFunction(4, 1659), (3, 6)),
+    (BooleanFunction(3, 24), BooleanFunction(3, 15), (3, 6, 7)),
+    (majority(3), materialize(LtfSpec((1, 0, 0))), (2, 3, 16)),
+]
+
+
+def assert_sign_scans_match_oracle(f, g, grid):
+    report = compare_stability(f, g, grid)
+    verdict, witness, brackets = comparison_oracle(report.diff_poly, grid)
+    assert report.verdict == verdict
+    assert report.small_rho_witness == witness
+    assert report.crossover_bracket == (brackets[0] if brackets else None)
+    assert crossover_scan(f, g, grid) == brackets
+    return report
+
+
+@pytest.mark.parametrize("case", range(len(SIGN_SCAN_CASES)))
+def test_sign_scans_match_fraction_sample_oracle_on_edge_pairs(case):
+    f, g, grids = SIGN_SCAN_CASES[case]
+    for grid in grids:
+        report = assert_sign_scans_match_oracle(f, g, grid)
+        # The lazy grid is the Fraction samples, value and type.
+        diff = StabilityPolynomial(report.diff_poly)
+        assert report.grid == tuple(
+            (Fraction(t, grid), diff.evaluate(Fraction(t, grid))) for t in range(grid + 1)
+        )
+        assert all(type(x) is Fraction for sample in report.grid for x in sample)
+
+
+def test_sign_scan_edge_pairs_show_their_features():
+    # The features the cases above are chosen for, on the grid samples.
+    def signs(f, g, grid):
+        return [(v > 0) - (v < 0) for v in compare_stability(f, g, grid).grid_numerators]
+
+    halving = compare_stability(counterexample(), majority(5), 2).small_rho_witness
+    assert 0 < halving[0] < Fraction(1, 2) and halving[1] > 0
+    assert signs(majority(5), majority(5), 10) == [0] * 11
+    assert signs(BooleanFunction(4, 300), BooleanFunction(4, 105), 4) == [0, 1, 0, -1, 0]
+    assert compare_stability(
+        BooleanFunction(4, 300), BooleanFunction(4, 105), 4
+    ).crossover_bracket == (Fraction(1, 2), Fraction(1, 2))
+    assert signs(BooleanFunction(4, 1659), BooleanFunction(4, 2016), 3) == [1, 0, 1, 0]
+    assert signs(BooleanFunction(3, 24), BooleanFunction(3, 15), 3) == [-1, 0, 1, 0]
+    assert signs(majority(3), materialize(LtfSpec((1, 0, 0))), 16)[1:-1] == [1] * 15
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 11])
+def test_sign_scans_match_fraction_sample_oracle_on_seeded_pairs(n):
+    rng = np.random.default_rng(1700 + n)
+    for _ in range(6):
+        f, g = (materialize(random_monotone_spec(n, rng)) for _ in range(2))
+        for grid in (2, 4, 7, 64):
+            assert_sign_scans_match_oracle(f, g, grid)
 
 
 def test_crossover_scan_validation():

@@ -193,6 +193,23 @@ def test_integer_horner_equals_fraction_horner(weights, rho):
     assert value == horner_oracle(weights, rho)
 
 
+@settings(max_examples=200)
+@given(coefficient_lists, st.integers(1, 64))
+@example([], 1)
+@example([], 5)
+@example([Fraction(-5, 6)], 7)
+@example([Fraction(0), Fraction(0), Fraction(0)], 3)
+@example([Fraction(0), Fraction(1, 64), Fraction(0), Fraction(-3, 32), Fraction(0), Fraction(5, 64)], 64)
+def test_grid_numerators_equal_evaluate(weights, points):
+    poly = StabilityPolynomial(tuple(weights))
+    numerators, denom = poly.grid_numerators(points)
+    assert len(numerators) == points + 1
+    assert isinstance(denom, int) and denom > 0
+    for t, value in enumerate(numerators):
+        assert isinstance(value, int)
+        assert Fraction(value, denom) == poly.evaluate(Fraction(t, points))
+
+
 @st.composite
 def threshold_spec_pairs(draw, max_n=7):
     n = draw(st.integers(1, max_n))
