@@ -89,7 +89,7 @@ def _document(command: str, inputs: dict, results) -> dict:
 
 def _comparison_display(lhs: Fraction, rhs: Fraction) -> dict:
     """Render both sides over their least common denominator, e.g. 44/64 < 45/64."""
-    denom = lhs.denominator * rhs.denominator // math.gcd(lhs.denominator, rhs.denominator)
+    denom = math.lcm(lhs.denominator, rhs.denominator)
     left = f"{lhs.numerator * (denom // lhs.denominator)}/{denom}"
     right = f"{rhs.numerator * (denom // rhs.denominator)}/{denom}"
     relation = "<" if lhs < rhs else ("=" if lhs == rhs else ">")
@@ -183,16 +183,13 @@ def cmd_compare(args) -> int:
         raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
     f, g = materialize(spec_f), materialize(spec_g)
     report = compare_stability(f, g, args.grid)
-    # Every column is an integer over den; int / int rounds to the nearest
+    # Every column is an integer over den = 4^n G^n, the denominator the
+    # candidate's samples share with D's; int / int rounds to the nearest
     # double, as float(Fraction) does, so no Fraction is built per row.
     points = args.grid
-    stab_f, f_den = report.poly_candidate.grid_numerators(points)
-    d_den = report.grid_denominator
-    den = math.lcm(f_den, d_den)
-    f_scale, d_scale = den // f_den, den // d_den
+    stab_f, den = report.poly_candidate.grid_numerators(points)
     lines = ["rho,stab_f,stab_g,diff\n"]
     for t, (sf, diff) in enumerate(zip(stab_f, report.grid_numerators)):
-        sf, diff = sf * f_scale, diff * d_scale
         sg = sf + diff  # diff is Stab_g - Stab_f, exactly
         lines.append(f"{t / points:.17g},{sf / den:.17g},{sg / den:.17g},{diff / den:.17g}\n")
     _write_out(args.out, lines)

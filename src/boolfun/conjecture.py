@@ -159,8 +159,10 @@ def _sampled_difference(candidate, reference, points: int):
     _check_grid(points)
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
+    # Both curves are over 4^n, so D's numerators are differences, and its
+    # grid samples share the denominator 4^n G^n with the candidate's.
     diff = StabilityPolynomial(
-        tuple(g - f for f, g in zip(poly_f.weights, poly_g.weights))
+        tuple(g - f for f, g in zip(poly_f.numerators, poly_g.numerators)), poly_f.denominator
     )
     numerators, denom = diff.grid_numerators(points)
     return poly_f, diff, numerators, denom
@@ -183,8 +185,8 @@ def _small_rho_witness(diff: StabilityPolynomial, numerators, denom: int):
     if last:
         return (Fraction(last, points), Fraction(numerators[last], denom))
     rho = Fraction(1, 2 * points)
-    tail = sum(abs(c) for c in diff.weights[2:])
-    halvings = int(rho * tail / diff.weights[1]).bit_length()
+    tail = sum(abs(a) for a in diff.numerators[2:])
+    halvings = int(rho * tail / diff.numerators[1]).bit_length()
     for _ in range(halvings + 1):
         val = diff.evaluate(rho)
         if val > 0:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 # Full-table work is capped so a table is at most 2^24 bits (2 MiB) and
-# every Walsh-Hadamard partial sum stays far inside int64 range.
+# every Walsh-Hadamard partial sum, |.| <= 2^24, fits int32.
 MAX_ARITY = 24
 # Quadratic-cost (4^n) reference oracles get a tighter cap.
 ORACLE_MAX_ARITY = 10

@@ -6,13 +6,12 @@ product of the coordinates in S. Division happens only at the reporting
 boundary, so every published value is an exact Fraction in lowest terms.
 
 With arity capped at 24, the fast paths are exact: the transform's int32
-partial sums stay within 2^24 < 2^31, the int64 spectrum squares without
-wrapping, and float64 level sums of squares stay within 4^24 = 2^48 < 2^53.
+partial sums and spectrum stay within 2^24 < 2^31, squares are taken in int64
+or float64, and level sums of squares stay within 4^24 = 2^48 < 2^53.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -43,7 +42,7 @@ class FourierExpansion:
     """All 2^n scaled Fourier coefficients of a +-1 valued function."""
 
     n: int
-    scaled: np.ndarray  # int64; scaled[S] = 2^n * fhat(S)
+    scaled: np.ndarray  # scaled[S] = 2^n * fhat(S); int32 from wht, |.| <= 2^24
 
     def __post_init__(self):
         if self.scaled.shape != (1 << self.n,):
@@ -57,67 +56,67 @@ class FourierExpansion:
 
 @dataclass(frozen=True)
 class StabilityPolynomial:
-    """The polynomial sum_k c_k rho^k with exact coefficients c_0..c_n.
+    """The polynomial sum_k (a_k / L) rho^k with integer a_0..a_d over one L > 0.
 
     It holds any coefficients; the degree weights W_0..W_n, whose polynomial
-    is the noise stability Stab_rho, are one case, and the difference of two
-    stability polynomials is another.
+    is the noise stability Stab_rho, are one case (a_k = 4^n W_k, L = 4^n),
+    and the difference of two stability polynomials of one arity is another.
     """
 
-    weights: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
+
+    def __post_init__(self):
+        if not self.numerators or self.denominator < 1:
+            raise ValueError("a polynomial needs a coefficient and a positive denominator")
 
     @cached_property
-    def _integer_form(self) -> tuple[tuple[int, ...], int]:
-        """(a_0..a_n, L) with c_k = a_k / L and L the lcm of the denominators."""
-        denom = math.lcm(*(w.denominator for w in self.weights))
-        return tuple(w.numerator * (denom // w.denominator) for w in self.weights), denom
+    def weights(self) -> tuple[Fraction, ...]:
+        """The coefficients c_k = a_k / L as Fractions in lowest terms."""
+        return tuple(Fraction(a, self.denominator) for a in self.numerators)
+
+    def _horner(self, q: int, ps) -> tuple[list[int], int]:
+        """([N_p for p in ps], L q^d) with P(p/q) = N_p / (L q^d).
+
+        N_p = sum_k a_k p^k q^(d-k): Horner in p over the coefficients
+        scaled by q^(d-k) once per call, outside the per-point loop, with no
+        gcd. The pairs are exact but not reduced.
+        """
+        top, rest, q_power = self.numerators[-1], [], 1
+        for a in self.numerators[-2::-1]:
+            q_power *= q
+            rest.append(a * q_power)
+        values = []
+        for p in ps:
+            acc = top
+            for b in rest:
+                acc = acc * p + b
+            values.append(acc)
+        return values, self.denominator * q_power
 
     def evaluate(self, rho) -> Fraction:
-        """Exact Horner evaluation at rational rho, in integers.
+        """Exact value at rational rho, in lowest terms.
 
-        With c_k = a_k / L over the common denominator L (4^n for a stability
-        polynomial or a difference of two) and rho = p/q in lowest terms,
-        P(p/q) = (sum_k a_k p^k q^(n-k)) / (L q^n). Horner runs on that
-        integer numerator, acc = acc*p + a_k q^(n-k), with no gcd per step;
-        the one Fraction built at the end reduces it, so the result is the
-        exact value in lowest terms, equal to a Fraction Horner's.
+        With rho = p/q, one integer Horner gives P(p/q) = N / (L q^d); the
+        one Fraction built at the end reduces it, so the result equals a
+        Fraction Horner's.
 
         Values outside [0, 1] are allowed; they fall outside the noise
         interpretation and reporting layers flag them as such.
         """
         rho = Fraction(rho)
-        if not self.weights:
-            return Fraction(0)
-        p, q = rho.numerator, rho.denominator
-        numerators, denom = self._integer_form
-        acc = numerators[-1]
-        q_power = 1
-        for a in reversed(numerators[:-1]):
-            q_power *= q
-            acc = acc * p + a * q_power
-        return Fraction(acc, denom * q_power)
+        (value,), denom = self._horner(rho.denominator, (rho.numerator,))
+        return Fraction(value, denom)
 
     def grid_numerators(self, points: int) -> tuple[list[int], int]:
         """([N_0..N_G], L G^d) with P(t/G) = N_t / (L G^d) for t = 0..G, G = points.
 
-        With c_k = a_k / L for k = 0..d, N_t = sum_k a_k t^k G^(d-k):
-        Horner in t over the coefficients pre-scaled by G^(d-k), with no gcd.
-        The pairs are exact but not reduced; a caller builds a Fraction only
-        where it reports one.
+        One Horner pass over the grid; a caller builds a Fraction only where
+        it reports one.
         """
-        if not self.weights:
-            return [0] * (points + 1), 1
-        numerators, denom = self._integer_form
-        d = len(numerators) - 1
-        scaled = [a * points ** (d - k) for k, a in enumerate(numerators)]
-        top, rest = scaled[-1], scaled[-2::-1]
-        grid = []
-        for t in range(points + 1):
-            acc = top
-            for b in rest:
-                acc = acc * t + b
-            grid.append(acc)
-        return grid, denom * points**d
+        if points < 1:
+            raise ValueError(f"a grid needs at least 1 interval, got {points}")
+        return self._horner(points, range(points + 1))
 
 
 def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
@@ -140,17 +139,18 @@ def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
 def wht(f: BooleanFunction) -> FourierExpansion:
     """Full spectrum by the fast transform, n * 2^n integer operations.
 
-    The stages run in int32, exact because every value, 2y included, is a
-    signed sum of at most 2^n entries +-1: |.| <= 2^n <= 2^24 < 2^31. The
-    stages of the 4 low bits run on the transpose, where their inner runs
-    are 2^(n-4) entries long instead of 1..8; the rest after transposing back.
+    The stages run in int32, and the spectrum stays int32: every value, 2y
+    included, is a signed sum of at most 2^n entries +-1, so |.| <= 2^n <=
+    2^24 < 2^31. The stages of the 4 low bits run on the transpose, where
+    their inner runs are 2^(n-4) entries long instead of 1..8; the rest
+    after transposing back.
     """
     low = min(f.n, 4)
     vec = f.signs().reshape(-1, 1 << low).T.astype(np.int32, order="C")
     _stages(vec.reshape(-1), f.n - low, f.n)
     vec = np.ascontiguousarray(vec.T).reshape(-1)
     _stages(vec, low, f.n)
-    return FourierExpansion(f.n, vec.astype(np.int64))
+    return FourierExpansion(f.n, vec)
 
 
 def inverse_wht(e: FourierExpansion) -> BooleanFunction:
@@ -219,8 +219,9 @@ def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:
     """Inf_i via the identity sum over S containing i of fhat(S)^2."""
     if not 1 <= i <= e.n:
         raise ValueError(f"coordinate {i} out of range 1..{e.n}")
-    has_i = (np.arange(e.size) >> (i - 1)) & 1 == 1
-    total = int(np.sum(e.scaled[has_i] ** 2))  # bounded by 4^n, exact in int64
+    with_i = e.scaled.reshape(-1, 2, 1 << (i - 1))[:, 1, :]  # masks with bit i-1 set
+    # Squared in int64: (2^24)^2 overflows int32, and the sum is at most 4^n.
+    total = int(np.square(with_i, dtype=np.int64).sum())
     return Fraction(total, e.size * e.size)
 
 
@@ -232,7 +233,7 @@ def degree_weight(e: FourierExpansion, k: int) -> Fraction:
 
 
 def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
-    """The full weight vector W_0..W_n; the weights sum to 1 by Parseval.
+    """4^n W_0..4^n W_n over 4^n; the weights sum to 1 by Parseval.
 
     Row r of the spectrum holds the 2^16 masks (all 2^n when n < 16) whose
     high bits are r; its float64 squares, summed by the level of the low
@@ -246,8 +247,7 @@ def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
         squares = np.square(chunk, dtype=np.float64)
         high = row.bit_count()
         sums[high : high + low_bits + 1] += np.bincount(low_levels, weights=squares)
-    denom = e.size * e.size
-    return StabilityPolynomial(tuple(Fraction(int(total), denom) for total in sums))
+    return StabilityPolynomial(tuple(int(total) for total in sums), e.size * e.size)
 
 
 def correlation_by_distance(f: BooleanFunction, g: BooleanFunction) -> list[int]:

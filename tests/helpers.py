@@ -1,5 +1,6 @@
 """Shared randomized generators and slow reference paths for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -96,6 +97,16 @@ def mask_image(mask: int, perm) -> int:
     return out
 
 
+def polynomial(weights) -> StabilityPolynomial:
+    """The polynomial with the given Fraction coefficients, over their lcm.
+
+    No coefficients give the zero polynomial, 0 over 1.
+    """
+    weights = [Fraction(w) for w in weights] or [Fraction(0)]
+    denom = math.lcm(*(w.denominator for w in weights))
+    return StabilityPolynomial(tuple(w.numerator * (denom // w.denominator) for w in weights), denom)
+
+
 def horner_oracle(weights, rho) -> Fraction:
     """sum_k weights[k] rho^k by Horner's rule in Fraction arithmetic.
 
@@ -122,7 +133,7 @@ def csv_rows_oracle(report, grid: int) -> str:
     ``decimal17``. The reference for the CLI, which writes the rows from
     integer grid numerators: the bytes must be equal.
     """
-    diff = StabilityPolynomial(report.diff_poly)
+    diff = polynomial(report.diff_poly)
     lines = ["rho,stab_f,stab_g,diff\n"]
     for t in range(grid + 1):
         rho = Fraction(t, grid)
@@ -141,7 +152,7 @@ def comparison_oracle(diff_weights, grid: int):
     Bisection is shared with the library (``conjecture._refine_bracket``);
     the scans are not.
     """
-    diff = StabilityPolynomial(tuple(diff_weights))
+    diff = polynomial(diff_weights)
     samples = [(Fraction(t, grid), diff.evaluate(Fraction(t, grid))) for t in range(grid + 1)]
     nonzero = [(rho, val > 0) for rho, val in samples if val != 0]
     brackets = [

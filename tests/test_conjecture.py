@@ -12,7 +12,6 @@ from boolfun import (
     TIE_TO_MINUS_ONE,
     BooleanFunction,
     LtfSpec,
-    StabilityPolynomial,
     TieEncountered,
     canonical_weight_vectors,
     character_matrix,
@@ -41,6 +40,7 @@ from helpers import (
     horner_oracle,
     level_weights_oracle,
     odd_root_sturm_chain,
+    polynomial,
     random_function,
     random_monotone_spec,
     search_entry_oracle,
@@ -76,6 +76,15 @@ def test_compare_counterexample_vs_majority():
     # D vanishes at both endpoints for this unbiased pair
     assert report.grid[0][1] == 0
     assert report.grid[-1][1] == 0
+
+
+def test_compare_samples_share_the_candidates_denominator():
+    # The CSV adds the candidate's samples to D's as integers over one
+    # denominator, 4^n G^n.
+    report = compare_stability(counterexample(), majority(5), 256)
+    numerators, denom = report.poly_candidate.grid_numerators(256)
+    assert report.grid_denominator == denom == 4**5 * 256**5
+    assert len(numerators) == len(report.grid_numerators)
 
 
 def test_compare_witness_prefix_property():
@@ -289,7 +298,7 @@ def test_sign_scans_match_fraction_sample_oracle_on_edge_pairs(case):
     for grid in grids:
         report = assert_sign_scans_match_oracle(f, g, grid)
         # The lazy grid is the Fraction samples, value and type.
-        diff = StabilityPolynomial(report.diff_poly)
+        diff = polynomial(report.diff_poly)
         assert report.grid == tuple(
             (Fraction(t, grid), diff.evaluate(Fraction(t, grid))) for t in range(grid + 1)
         )

@@ -25,7 +25,7 @@ from boolfun import (
     wht,
 )
 
-from helpers import butterfly_oracle, level_weights_oracle, random_function
+from helpers import butterfly_oracle, level_weights_oracle, polynomial, random_function
 
 DICTATOR = BooleanFunction(1, 0b10)
 PARITY2 = BooleanFunction.from_signs([1, -1, -1, 1])  # x1 * x2
@@ -134,7 +134,7 @@ def test_constant_function_spectrum_at_int32_bound(sign):
     n = 24
     f = BooleanFunction(n, (1 << (1 << n)) - 1 if sign == 1 else 0)
     e = wht(f)
-    assert e.scaled.dtype == np.int64
+    assert e.scaled.dtype == np.int32
     assert e.scaled[0] == sign * (1 << n)
     assert np.count_nonzero(e.scaled) == 1
     assert stability_polynomial(e).weights == (Fraction(1),) + (Fraction(0),) * n
@@ -143,9 +143,29 @@ def test_constant_function_spectrum_at_int32_bound(sign):
 def test_wht_and_levels_match_int64_oracles_at_arity_cap():
     f = random_function(24, np.random.default_rng(34))
     e = wht(f)
-    assert e.scaled.dtype == np.int64
+    assert e.scaled.dtype == np.int32
     assert np.array_equal(e.scaled, butterfly_oracle(f))
     assert stability_polynomial(e).weights == level_weights_oracle(e)
+
+
+@pytest.mark.parametrize("case", ["one", "minus_one", "dictator", "random"])
+def test_spectral_influences_at_arity_cap(case):
+    # The int32 spectrum squares in int64: the dictator x_24 has
+    # scaled[{24}] = 2^24, whose square 2^48 would wrap to 0 in int32.
+    n = 24
+    half = 1 << (n - 1)
+    f = {
+        "one": lambda: BooleanFunction(n, (1 << (1 << n)) - 1),
+        "minus_one": lambda: BooleanFunction(n, 0),
+        "dictator": lambda: BooleanFunction(n, ((1 << half) - 1) << half),
+        "random": lambda: random_function(n, np.random.default_rng(36)),
+    }[case]()
+    e = wht(f)
+    assert e.scaled.dtype == np.int32
+    for i in range(1, n + 1):
+        assert influence_from_spectrum(e, i) == influence(f, i)
+    if case == "dictator":
+        assert influence(f, n) == 1
 
 
 def test_coefficient_parity_invariant():
@@ -334,5 +354,22 @@ def test_stability_oracle_errors():
 
 
 def test_stability_polynomial_evaluate_accepts_ints():
-    poly = StabilityPolynomial((Fraction(0), Fraction(1)))
+    poly = polynomial((Fraction(0), Fraction(1)))
     assert poly.evaluate(1) == 1
+
+
+@pytest.mark.parametrize("points", [0, -1])
+def test_grid_numerators_rejects_grids_without_an_interval(points):
+    with pytest.raises(ValueError):
+        StabilityPolynomial((0, 1), 1).grid_numerators(points)
+
+
+def test_stability_polynomial_holds_integers_over_4_to_the_n():
+    poly = stability_polynomial(wht(counterexample()))
+    assert poly.denominator == 4**5
+    assert poly.numerators == (0, 704, 0, 256, 0, 64)
+    assert poly.weights == tuple(Fraction(a, 4**5) for a in poly.numerators)
+    with pytest.raises(ValueError):
+        StabilityPolynomial((), 1)
+    with pytest.raises(ValueError):
+        StabilityPolynomial((1,), 0)

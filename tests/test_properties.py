@@ -12,7 +12,6 @@ from boolfun import (
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
     VERDICT_REFUTES,
-    StabilityPolynomial,
     coefficient,
     compare_stability,
     complement_index,
@@ -38,6 +37,7 @@ from helpers import (
     level_weights_oracle,
     mask_image,
     negate_subset,
+    polynomial,
     random_function,
     random_odd_function,
 )
@@ -188,7 +188,7 @@ rho_values = st.one_of(
 @example([Fraction(-5, 6)], Fraction(7, 2))
 @example([Fraction(3, 4)], 0)
 def test_integer_horner_equals_fraction_horner(weights, rho):
-    value = StabilityPolynomial(tuple(weights)).evaluate(rho)
+    value = polynomial(weights).evaluate(rho)
     assert isinstance(value, Fraction)
     assert value == horner_oracle(weights, rho)
 
@@ -201,7 +201,7 @@ def test_integer_horner_equals_fraction_horner(weights, rho):
 @example([Fraction(0), Fraction(0), Fraction(0)], 3)
 @example([Fraction(0), Fraction(1, 64), Fraction(0), Fraction(-3, 32), Fraction(0), Fraction(5, 64)], 64)
 def test_grid_numerators_equal_evaluate(weights, points):
-    poly = StabilityPolynomial(tuple(weights))
+    poly = polynomial(weights)
     numerators, denom = poly.grid_numerators(points)
     assert len(numerators) == points + 1
     assert isinstance(denom, int) and denom > 0
