@@ -9,6 +9,7 @@ W_1[f] < W_1[Maj_n] is strictly less stable than majority for small rho.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -43,8 +44,8 @@ SEARCH_MAX_ARITY = 9
 # Upper bound on the nonincreasing vectors a search may enumerate,
 # C(n + max_weight - 1, n); (9, 15) is the largest admitted at n = 9.
 SEARCH_MAX_VECTORS = 10**6
-# Vectors per screened block: the block's weighted sums hold
-# SEARCH_BLOCK * 2^n int64 entries, 1 MiB at n = 9.
+# Vectors per screened block: the block's int16 weighted sums hold
+# SEARCH_BLOCK * 2^n entries, 256 KiB at n = 9.
 SEARCH_BLOCK = 256
 
 # Largest rho grid (intervals) that compare_stability and crossover_scan
@@ -140,14 +141,15 @@ class ComparisonReport:
         )
 
 
-def _check_grid(points: int) -> None:
-    """Refuse a rho grid outside [2, MAX_GRID] intervals."""
-    if points < 2:
-        raise ValueError(f"a rho grid needs at least 2 intervals, got {points}")
+def _check_grid(points) -> int:
+    """The rho grid as an int; refuse a non-integer or one outside [2, MAX_GRID]."""
+    if not isinstance(points, numbers.Integral) or points < 2:
+        raise ValueError(f"a rho grid needs an integer of at least 2 intervals, got {points!r}")
     if points > MAX_GRID:
         raise ValueError(
             f"a rho grid of {points} intervals is over the limit of {MAX_GRID}"
         )
+    return int(points)
 
 
 def _sampled_difference(candidate, reference, points: int):
@@ -156,7 +158,7 @@ def _sampled_difference(candidate, reference, points: int):
     """
     if candidate.n != reference.n:
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
-    _check_grid(points)
+    points = _check_grid(points)
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
     # Both curves are over 4^n, so D's numerators are differences, and its
@@ -377,18 +379,17 @@ def _screen_block(block, *, w1_bar):
     Without ties, sign(w . (-x)) = -sign(w . x): the table is odd. Positive
     weights make it monotone.
 
-    The sums are exact in int64: |w . x| <= n * max_weight, at most
-    9 * 10^6 inside SEARCH_MAX_ARITY and SEARCH_MAX_VECTORS.
+    The sums are exact in int16. At n = 1 the gcd filter leaves only (1,);
+    SEARCH_MAX_VECTORS caps max_weight at 180, 39, 21 and 15 for n = 3, 5,
+    7 and 9, so |w . x| <= |w|_1 <= 539 < 2^15, at (180, 180, 179).
     The result tuples are (weights, 4^n * W_1, packed table bytes).
     """
     n = len(block[0])
     size = 1 << n
-    positive = _sums_by_doubling(np.array(block, dtype=np.int64).T) > 0
-    balanced = np.flatnonzero(2 * positive.sum(axis=0, dtype=np.int32) == size)
-    positive = positive.take(balanced, axis=1)
-    # One halving pass, top index bit first: the count for bit i is the sum
-    # of the upper half, and adding the halves folds that bit away. int16
-    # holds every partial count, at most 2^n <= 512 inside SEARCH_MAX_ARITY.
+    positive = _sums_by_doubling(np.array(block, dtype=np.int16).T) > 0
+    # One halving pass, top index bit first: the count for bit i is the upper
+    # half's sum, and adding the halves folds that bit away, down to the +1
+    # count in fold[0]. int16 holds every count, at most 2^n <= 512 here.
     set_counts = []
     fold = positive.astype(np.int16)
     for i in reversed(range(n)):
@@ -397,12 +398,9 @@ def _screen_block(block, *, w1_bar):
         fold = fold[:h] + fold[h:]
     chow = 4 * np.stack(set_counts, axis=1) - size
     w1_scaled = (chow * chow).sum(axis=1)
-    rows = np.flatnonzero(w1_scaled < w1_bar)
+    rows = np.flatnonzero((2 * fold[0] == size) & (w1_scaled < w1_bar))
     tables = np.packbits(positive[:, rows], axis=0, bitorder="little").T
-    return [
-        (block[balanced[r]], int(w1_scaled[r]), t.tobytes())
-        for r, t in zip(rows, tables)
-    ]
+    return [(block[r], int(w1_scaled[r]), t.tobytes()) for r, t in zip(rows, tables)]
 
 
 def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
@@ -419,8 +417,8 @@ def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
         raise ValueError(f"search needs a positive odd arity, got {n!r}")
     if n > SEARCH_MAX_ARITY:
         raise ValueError(f"exhaustive search capped at arity {SEARCH_MAX_ARITY}")
-    if max_weight < 1:
-        raise ValueError("max_weight must be at least 1")
+    if not isinstance(max_weight, numbers.Integral) or max_weight < 1:
+        raise ValueError(f"max_weight must be an integer >= 1, got {max_weight!r}")
     count = math.comb(n + max_weight - 1, n)
     if count > SEARCH_MAX_VECTORS:
         raise ValueError(

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -141,6 +141,35 @@ def test_compare_validation():
         compare_stability(majority(3), majority(5), 10)
     with pytest.raises(ValueError):
         compare_stability(majority(3), majority(3), 1)
+
+
+@pytest.mark.parametrize("size", [2.5, 256.0, Fraction(256)])
+def test_non_integer_grid_refused_before_any_spectrum(size, monkeypatch):
+    calls = []
+    original = conjecture.wht
+
+    def counting(f):
+        calls.append(f.n)
+        return original(f)
+
+    monkeypatch.setattr(conjecture, "wht", counting)
+    f, g = counterexample(), majority(5)
+    with pytest.raises(ValueError, match="integer"):
+        compare_stability(f, g, size)
+    with pytest.raises(ValueError, match="integer"):
+        crossover_scan(f, g, size)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_numpy_integer_grid_gives_the_int_report(n):
+    # At n = 9 the grid's G^n passes 2^63, so the samples need Python ints.
+    f = materialize(LtfSpec((3,) + (1,) * (n - 1)))
+    expected = compare_stability(f, majority(n), 256)
+    assert compare_stability(f, majority(n), np.int64(256)) == expected
+    assert crossover_scan(f, majority(n), np.int64(256)) == crossover_scan(
+        f, majority(n), 256
+    )
 
 
 def test_verify_counterexample_passes():
@@ -403,9 +432,51 @@ def test_search_duplicate_tables_collapse():
 
 
 def test_search_validation():
-    for bad_n, bad_w in ((4, 2), (11, 2), (0, 2), (5, 0)):
+    for bad_n, bad_w in ((4, 2), (11, 2), (0, 2), (5, 0), (5, 2.0), (5, 2.5)):
         with pytest.raises(ValueError):
             search_counterexamples(bad_n, bad_w)
+    assert search_counterexamples(5, np.int64(2)) == search_counterexamples(5, 2)
+
+
+def _largest_admitted_weight(n):
+    """The largest max_weight whose C(n + max_weight - 1, n) vectors the search admits."""
+    m = 1
+    while comb(n + m, n) <= conjecture.SEARCH_MAX_VECTORS:
+        m += 1
+    return m
+
+
+def _largest_canonical_norm(n, max_weight):
+    """max |w|_1 over gcd-1 nonincreasing vectors in [1, max_weight]^n.
+
+    At n = 1 only (1,) has gcd 1. For n >= 2, (m, ..., m, m - 1) has gcd 1
+    and every vector with a larger sum is all m, of gcd m > 1 unless m = 1.
+    """
+    if n == 1 or max_weight == 1:
+        return n
+    return n * max_weight - 1
+
+
+def test_largest_canonical_norm_matches_enumeration():
+    for n in (1, 2, 3, 5):
+        for m in (1, 2, 3, 6):
+            assert _largest_canonical_norm(n, m) == max(
+                sum(w) for w in canonical_weight_vectors(n, m)
+            )
+
+
+def test_screened_sums_fit_int16():
+    # The screen's weighted sums are int16: every screened |w . x| is at most
+    # |w|_1, so the constants must keep the largest canonical |w|_1 below
+    # 2^15. Raising SEARCH_MAX_VECTORS or SEARCH_MAX_ARITY moves it.
+    admitted = {
+        n: _largest_admitted_weight(n) for n in range(3, conjecture.SEARCH_MAX_ARITY + 1, 2)
+    }
+    assert admitted == {3: 180, 5: 39, 7: 21, 9: 15}
+    norms = [_largest_canonical_norm(1, conjecture.SEARCH_MAX_VECTORS)]
+    norms += [_largest_canonical_norm(n, m) for n, m in admitted.items()]
+    assert max(norms) == 539 == sum((180, 180, 179))
+    assert max(norms) <= np.iinfo(np.int16).max
 
 
 def test_search_materializes_only_majority(monkeypatch):
@@ -469,11 +540,11 @@ def test_search_workers_match_per_candidate_oracle(workers, tmp_path, capsys):
 def test_screen_block_rows_match_table_route():
     # Signed weights give non-monotone rows, which canonical vectors never do,
     # and even sums give tie rows, which the unbiased filter alone must drop;
-    # a bar above 4^n keeps every unbiased row. n = 9 with weights up to 15 is
-    # the SEARCH_MAX_VECTORS edge of the int64 sums; the appended rows
-    # reach |w . x| = n * bound.
+    # a bar above 4^n keeps every unbiased row. (9, 15) and (3, 180) are the
+    # SEARCH_MAX_VECTORS edges at n = 9 and n = 3 of the int16 sums; the
+    # appended rows reach |w . x| = n * bound, 540 at (3, 180).
     rng = np.random.default_rng(7)
-    for n, bound in ((3, 4), (5, 4), (7, 4), (9, 15)):
+    for n, bound in ((3, 4), (5, 4), (7, 4), (9, 15), (3, 180)):
         block = [
             tuple(int(w) for w in rng.integers(-bound, bound + 1, size=n))
             for _ in range(300)
@@ -494,8 +565,7 @@ def test_screen_block_rows_match_table_route():
 
 
 def test_screen_block_with_no_balanced_row():
-    # Even weight sums tie, so every row is biased and the counting runs
-    # over an empty stack.
+    # Even weight sums tie, so every row is biased and none is selected.
     assert conjecture._screen_block([(2, 1, 1), (1, 1, 0)], w1_bar=4**3 + 1) == []
 
 
