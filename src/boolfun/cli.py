@@ -18,13 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .conjecture import (
-    _check_grid,
-    compare_stability,
-    search_counterexamples,
-    verify_counterexample,
-)
-from .core import BooleanFunction
+from .conjecture import MAX_GRID, compare_stability, search_counterexamples, verify_counterexample
+from .core import BooleanFunction, checked_int
 from .fourier import influence, stability_polynomial, wht
 from .ltf import (
     TIE_REJECT,
@@ -177,7 +172,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    _check_grid(args.grid)
+    checked_int(args.grid, "rho grid intervals", 2, MAX_GRID)
     spec_f, spec_g = parse_spec(args.spec_f), parse_spec(args.spec_g)
     if spec_f.n != spec_g.n:
         raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
@@ -286,10 +281,7 @@ def _spliced(doc: dict, listing: list[str]) -> tuple[str, ...]:
 
 
 def cmd_search(args) -> int:
-    if args.parallel < 1:
-        raise ValueError("workers must be at least 1")
-    if args.parallel > MAX_WORKERS:
-        raise ValueError(f"workers capped at {MAX_WORKERS}, got {args.parallel}")
+    checked_int(args.parallel, "workers", 1, MAX_WORKERS)
     found = search_counterexamples(args.n, args.max_weight)
     # Both documents hold the list at depth 2 (results -> counterexamples), so
     # the one listing is spliced into each.

@@ -9,7 +9,6 @@ W_1[f] < W_1[Maj_n] is strictly less stable than majority for small rho.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +16,7 @@ from itertools import combinations_with_replacement, islice
 
 import numpy as np
 
-from .core import BooleanFunction
+from .core import BooleanFunction, checked_int
 from .fourier import (
     StabilityPolynomial,
     coefficient,
@@ -141,24 +140,13 @@ class ComparisonReport:
         )
 
 
-def _check_grid(points) -> int:
-    """The rho grid as an int; refuse a non-integer or one outside [2, MAX_GRID]."""
-    if not isinstance(points, numbers.Integral) or points < 2:
-        raise ValueError(f"a rho grid needs an integer of at least 2 intervals, got {points!r}")
-    if points > MAX_GRID:
-        raise ValueError(
-            f"a rho grid of {points} intervals is over the limit of {MAX_GRID}"
-        )
-    return int(points)
-
-
 def _sampled_difference(candidate, reference, points: int):
     """The candidate's stability polynomial, D = Stab[reference] -
     Stab[candidate], and D's grid numerators and denominator at t/points.
     """
     if candidate.n != reference.n:
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
-    points = _check_grid(points)
+    points = checked_int(points, "rho grid intervals", 2, MAX_GRID)
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
     # Both curves are over 4^n, so D's numerators are differences, and its
@@ -413,18 +401,12 @@ def search_counterexamples(n: int, max_weight: int) -> list[SearchResult]:
     the weight tuple, so the output is deterministic. A search over more
     than ``SEARCH_MAX_VECTORS`` nonincreasing vectors is refused up front.
     """
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise ValueError(f"search needs a positive odd arity, got {n!r}")
-    if n > SEARCH_MAX_ARITY:
-        raise ValueError(f"exhaustive search capped at arity {SEARCH_MAX_ARITY}")
-    if not isinstance(max_weight, numbers.Integral) or max_weight < 1:
-        raise ValueError(f"max_weight must be an integer >= 1, got {max_weight!r}")
+    n = checked_int(n, "search arity", 1, SEARCH_MAX_ARITY)
+    if n % 2 == 0:
+        raise ValueError(f"search needs an odd arity, got {n}")
+    max_weight = checked_int(max_weight, "max_weight", 1)
     count = math.comb(n + max_weight - 1, n)
-    if count > SEARCH_MAX_VECTORS:
-        raise ValueError(
-            f"search ({n}, {max_weight}) would enumerate up to {count} weight "
-            f"vectors, over the limit of {SEARCH_MAX_VECTORS}"
-        )
+    checked_int(count, f"the vector bound of search ({n}, {max_weight})", hi=SEARCH_MAX_VECTORS)
     scale = 4**n
     # Each of Maj_n's n Chow parameters is 2 * C(n-1, (n-1)/2), twice the
     # number of settings of the other n-1 coordinates where that one is pivotal.

@@ -8,6 +8,7 @@ exactly when f(j) = +1, so a popcount of the table counts the +1 outputs.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ __all__ = [
     "MAX_ARITY",
     "ORACLE_MAX_ARITY",
     "BooleanFunction",
+    "checked_int",
     "complement_index",
     "flip_coordinate",
     "index_to_signs",
@@ -34,11 +36,30 @@ __all__ = [
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _check_arity(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"arity must be a positive integer, got {n!r}")
-    if n > MAX_ARITY:
-        raise ValueError(f"arity {n} exceeds the exact full-table cap of {MAX_ARITY}")
+def checked_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``value`` as a Python int in [lo, hi]; else ValueError, which the CLI exits 2 on.
+
+    The one test of what counts as an integer input: anything with
+    ``__index__`` (int, numpy integers, bool), never a float, Fraction or
+    string, even one with an integral value.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if lo is not None and value < lo:
+        raise ValueError(f"{what} must be at least {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"{what} is capped at {hi}: {value} is over the limit")
+    return value
+
+
+def checked_ints(values, what: str) -> tuple[int, ...]:
+    """``checked_int`` over a sequence, unbounded, as one C-level map."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 def _check_index(j: int, n: int) -> None:
@@ -65,7 +86,7 @@ def low_half_mask(size: int, stride: int) -> int:
 
 def index_to_signs(j: int, n: int) -> tuple[int, ...]:
     """Decode index j to its point (x_1, ..., x_n) with entries +-1."""
-    _check_arity(n)
+    n = checked_int(n, "arity", 1, MAX_ARITY)
     _check_index(j, n)
     return tuple(1 if (j >> i) & 1 else -1 for i in range(n))
 
@@ -83,16 +104,14 @@ def signs_to_index(signs) -> int:
 
 def flip_coordinate(j: int, i: int, n: int) -> int:
     """Toggle coordinate i (1-based) of input index j. Involutive."""
-    _check_arity(n)
+    n = checked_int(n, "arity", 1, MAX_ARITY)
     _check_index(j, n)
-    if not 1 <= i <= n:
-        raise ValueError(f"coordinate {i} out of range 1..{n}")
-    return j ^ (1 << (i - 1))
+    return j ^ (1 << (checked_int(i, "coordinate", 1, n) - 1))
 
 
 def complement_index(j: int, n: int) -> int:
     """Index of -x, the point with every coordinate of j negated."""
-    _check_arity(n)
+    n = checked_int(n, "arity", 1, MAX_ARITY)
     _check_index(j, n)
     return j ^ ((1 << n) - 1)
 
@@ -110,9 +129,8 @@ class BooleanFunction:
     table: int
 
     def __post_init__(self):
-        _check_arity(self.n)
-        if not isinstance(self.table, int) or self.table < 0:
-            raise ValueError("table must be a nonnegative integer bit mask")
+        object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
+        object.__setattr__(self, "table", checked_int(self.table, "table", 0))
         if self.table >> self.size:
             raise ValueError(f"table has bits beyond the {self.size} valid positions")
 
@@ -129,8 +147,7 @@ class BooleanFunction:
             raise ValueError(f"sign vector length {size} is not a power of two >= 2")
         if not np.all(np.abs(vec) == 1):
             raise ValueError("sign vector entries must be +-1")
-        n = size.bit_length() - 1
-        _check_arity(n)
+        n = checked_int(size.bit_length() - 1, "arity", 1, MAX_ARITY)
         bits = (vec == 1).astype(np.uint8)
         packed = np.packbits(bits, bitorder="little").tobytes()
         return cls(n, int.from_bytes(packed, "little"))
@@ -138,7 +155,7 @@ class BooleanFunction:
     @classmethod
     def from_hex(cls, n: int, text: str) -> "BooleanFunction":
         """Parse the hex text form (little-endian bytes, bit 0 = input 0)."""
-        _check_arity(n)
+        n = checked_int(n, "arity", 1, MAX_ARITY)
         nbytes = ((1 << n) + 7) // 8
         raw = bytes.fromhex(text)
         if len(raw) != nbytes:

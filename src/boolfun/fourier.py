@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ORACLE_MAX_ARITY, BooleanFunction, low_half_mask
+from .core import ORACLE_MAX_ARITY, BooleanFunction, checked_int, checked_ints, low_half_mask
 
 __all__ = [
     "FourierExpansion",
@@ -67,8 +67,9 @@ class StabilityPolynomial:
     denominator: int
 
     def __post_init__(self):
-        if not self.numerators or self.denominator < 1:
-            raise ValueError("a polynomial needs a coefficient and a positive denominator")
+        object.__setattr__(self, "numerators", checked_ints(self.numerators, "numerators"))
+        object.__setattr__(self, "denominator", checked_int(self.denominator, "denominator", 1))
+        checked_int(len(self.numerators), "coefficient count", 1)
 
     @cached_property
     def weights(self) -> tuple[Fraction, ...]:
@@ -114,8 +115,7 @@ class StabilityPolynomial:
         One Horner pass over the grid; a caller builds a Fraction only where
         it reports one.
         """
-        if points < 1:
-            raise ValueError(f"a grid needs at least 1 interval, got {points}")
+        points = checked_int(points, "grid intervals", 1)
         return self._horner(points, range(points + 1))
 
 
@@ -169,15 +169,14 @@ def inverse_wht(e: FourierExpansion) -> BooleanFunction:
     return BooleanFunction.from_signs(quotient)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: Fraction(3) must not hit the entry for 3
 def character_matrix(n: int) -> np.ndarray:
     """The 2^n x 2^n matrix M[S, j] = chi_S(j), by Kronecker doubling.
 
     Independent reference path for the fast transform; capped at the oracle
     arity because it costs 4^n memory.
     """
-    if not 1 <= n <= ORACLE_MAX_ARITY:
-        raise ValueError(f"character matrix arity must be in 1..{ORACLE_MAX_ARITY}")
+    n = checked_int(n, "character matrix arity", 1, ORACLE_MAX_ARITY)
     base = np.array([[1, 1], [-1, 1]], dtype=np.int64)  # rows: S = {}, {i}
     m = np.array([[1]], dtype=np.int64)
     for _ in range(n):
@@ -188,8 +187,7 @@ def character_matrix(n: int) -> np.ndarray:
 
 def naive_expansion(f: BooleanFunction) -> FourierExpansion:
     """Spectrum by direct summation: scaled[S] = sum_j f(j) chi_S(j), O(4^n)."""
-    if f.n > ORACLE_MAX_ARITY:
-        raise ValueError(f"naive summation capped at arity {ORACLE_MAX_ARITY}")
+    checked_int(f.n, "naive summation arity", hi=ORACLE_MAX_ARITY)
     scaled = character_matrix(f.n) @ f.signs().astype(np.int64)
     return FourierExpansion(f.n, scaled)
 
@@ -208,17 +206,14 @@ def influence(f: BooleanFunction, i: int) -> Fraction:
     on its bit-clear end j and counts for both of its inputs, so one masked
     popcount gives the count over all inputs.
     """
-    if not 1 <= i <= f.n:
-        raise ValueError(f"coordinate {i} out of range 1..{f.n}")
-    stride = 1 << (i - 1)
+    stride = 1 << (checked_int(i, "coordinate", 1, f.n) - 1)
     edges = (f.table ^ (f.table >> stride)) & low_half_mask(f.size, stride)
     return Fraction(2 * edges.bit_count(), f.size)
 
 
 def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:
     """Inf_i via the identity sum over S containing i of fhat(S)^2."""
-    if not 1 <= i <= e.n:
-        raise ValueError(f"coordinate {i} out of range 1..{e.n}")
+    i = checked_int(i, "coordinate", 1, e.n)
     with_i = e.scaled.reshape(-1, 2, 1 << (i - 1))[:, 1, :]  # masks with bit i-1 set
     # Squared in int64: (2^24)^2 overflows int32, and the sum is at most 4^n.
     total = int(np.square(with_i, dtype=np.int64).sum())
@@ -227,9 +222,7 @@ def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:
 
 def degree_weight(e: FourierExpansion, k: int) -> Fraction:
     """W_k = sum over |S| = k of fhat(S)^2, exact."""
-    if not 0 <= k <= e.n:
-        raise ValueError(f"degree {k} out of range 0..{e.n}")
-    return stability_polynomial(e).weights[k]
+    return stability_polynomial(e).weights[checked_int(k, "degree", 0, e.n)]
 
 
 def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
@@ -254,8 +247,7 @@ def correlation_by_distance(f: BooleanFunction, g: BooleanFunction) -> list[int]
     """C[d] = sum over input pairs at Hamming distance d of f(x) g(y)."""
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} vs {g.n}")
-    if f.n > ORACLE_MAX_ARITY:
-        raise ValueError(f"pair summation capped at arity {ORACLE_MAX_ARITY}")
+    checked_int(f.n, "pair summation arity", hi=ORACLE_MAX_ARITY)
     sf = f.signs().astype(np.int64)
     sg = g.signs().astype(np.int64)
     idx = np.arange(f.size)

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_ARITY, BooleanFunction, index_to_signs, low_half_mask
+from .core import (
+    MAX_ARITY,
+    BooleanFunction,
+    checked_int,
+    checked_ints,
+    index_to_signs,
+    low_half_mask,
+)
 
 TIE_REJECT = "reject"
 TIE_TO_MINUS_ONE = "map_to_minus_one"
@@ -61,12 +68,9 @@ class LtfSpec:
     tie_policy: str = TIE_REJECT
 
     def __post_init__(self):
-        w = tuple(int(x) for x in self.weights)
-        object.__setattr__(self, "weights", w)
-        if not w:
-            raise ValueError("weight vector must be nonempty")
-        if len(w) > MAX_ARITY:
-            raise ValueError(f"arity {len(w)} exceeds the cap of {MAX_ARITY}")
+        object.__setattr__(self, "weights", checked_ints(self.weights, "weights"))
+        object.__setattr__(self, "threshold", checked_int(self.threshold, "threshold"))
+        checked_int(len(self.weights), "arity", 1, MAX_ARITY)
         if self.tie_policy not in (TIE_REJECT, TIE_TO_MINUS_ONE):
             raise ValueError(f"unknown tie policy {self.tie_policy!r}")
 
@@ -115,12 +119,21 @@ def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:
     return sums
 
 
+# Cap on 2^n * bits(|w|_1 + |theta|), the payload of a spec's 2^n sums, checked
+# before they exist. int64 sums (< 2^62) always pass: 62 * 2^24 < 2^30. Python
+# int sums cost 2^n objects of that width: 2^62+1,1,...,1 at n = 24 passes and
+# peaks at 946 MiB, the worst case; n - 1 weights of 4,000 nines, which double
+# their peak with each arity (143 MiB at n = 16), are refused from n = 17 on.
+MAX_SUM_BITS = 2**30
+
+
 def _weighted_sums(spec: LtfSpec) -> np.ndarray:
     """w . x for every input index of the spec, by ``_sums_by_doubling``.
 
     Falls back to Python integers if |w|_1 could approach int64 limits.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
+    checked_int((1 << spec.n) * bound.bit_length(), "2^n * bits(|w|_1 + |theta|)", hi=MAX_SUM_BITS)
     dtype = np.int64 if bound < 2**62 else object
     return _sums_by_doubling(np.array(spec.weights, dtype=dtype))
 
@@ -153,8 +166,9 @@ def materialize(spec: LtfSpec) -> BooleanFunction:
 
 def majority(n: int) -> BooleanFunction:
     """Maj_n: all-ones weights, threshold 0. Requires odd n (no ties then)."""
-    if not isinstance(n, int) or n < 1 or n % 2 == 0:
-        raise ValueError(f"majority needs a positive odd arity, got {n!r}")
+    n = checked_int(n, "arity", 1, MAX_ARITY)
+    if n % 2 == 0:
+        raise ValueError(f"majority needs an odd arity, got {n}")
     return materialize(LtfSpec((1,) * n))
 
 

@@ -27,6 +27,7 @@ from boolfun import (
     is_monotone,
     is_odd,
     is_unbiased,
+    ltf,
     materialize,
     parse_spec,
     stability_polynomial,
@@ -476,6 +477,27 @@ def test_search_parallel_below_one_exit_2(tmp_path, capsys):
     assert code == 2
     assert "at least 1" in err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_integer_options_and_sum_bound_exit_2(tmp_path, capsys, monkeypatch):
+    def no_sums(weights):
+        raise AssertionError("weighted sums were allocated")
+
+    monkeypatch.setattr(ltf, "_sums_by_doubling", no_sums)
+    out = str(tmp_path / "x")
+    over_bound = ",".join(["9" * 4000] * 24)
+    for argv in (
+        ("compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", "1", "--out", out),
+        ("compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", "65537", "--out", out),
+        ("search", "5", "2", "--parallel", "0", "--out", out),
+        ("search", "5", "2", "--parallel", "33", "--out", out),
+        ("table", over_bound),
+        ("analyze", over_bound),
+    ):
+        code, stdout, err = run_cli(capsys, *argv)
+        assert (code, stdout) == (2, ""), argv
+        assert "over the limit" in err or "at least" in err, argv
+        assert not os.path.exists(out)
 
 
 def test_search_over_vector_limit_exit_2(tmp_path, capsys, monkeypatch):

@@ -436,6 +436,7 @@ def test_search_validation():
         with pytest.raises(ValueError):
             search_counterexamples(bad_n, bad_w)
     assert search_counterexamples(5, np.int64(2)) == search_counterexamples(5, 2)
+    assert search_counterexamples(np.int64(5), 2) == search_counterexamples(5, 2)
 
 
 def _largest_admitted_weight(n):

@@ -1,19 +1,36 @@
-"""Truth-table representation, index encoding, and table transforms."""
+"""Truth-table representation, index encoding, table transforms, and the integer gate."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import boolfun
 from boolfun import (
+    MAX_ARITY,
+    MAX_GRID,
+    ORACLE_MAX_ARITY,
+    SEARCH_MAX_ARITY,
     BooleanFunction,
+    LtfSpec,
+    StabilityPolynomial,
+    character_matrix,
+    checked_int,
+    compare_stability,
     complement_index,
     counterexample,
+    crossover_scan,
+    degree_weight,
     flip_coordinate,
     index_to_signs,
+    influence,
+    influence_from_spectrum,
     majority,
     materialize,
     parse_spec,
+    search_counterexamples,
     signs_to_index,
+    wht,
 )
 from boolfun.core import low_half_mask
 
@@ -173,6 +190,9 @@ def test_construction_validation():
         BooleanFunction(1, 0b100)  # padding bits must be zero
     with pytest.raises(ValueError):
         BooleanFunction(1, -1)
+    f = BooleanFunction(np.int64(3), np.int64(5))
+    assert type(f.n) is int and type(f.table) is int
+    assert f == BooleanFunction(3, 5)
 
 
 def test_bias_and_ones():
@@ -220,3 +240,62 @@ def test_package_exports_resolve_once_each():
         getattr(boolfun, name)
     assert "COUNTEREXAMPLE_WEIGHTS" in names
     assert boolfun.COUNTEREXAMPLE_WEIGHTS == (2, 2, 1, 1, 1)
+
+
+MAJ3 = majority(3)
+MAJ3_SPECTRUM = wht(MAJ3)
+
+# Every integer a public entry point takes: (name, call on the value, lo, hi),
+# None for an open end. LtfSpec's arity is its weight count, covered by
+# test_spec_validation.
+INTEGER_INPUTS = [
+    ("BooleanFunction arity", lambda v: BooleanFunction(v, 0), 1, MAX_ARITY),
+    ("BooleanFunction table", lambda v: BooleanFunction(1, v), 0, 3),
+    ("from_hex arity", lambda v: BooleanFunction.from_hex(v, "00"), 1, MAX_ARITY),
+    ("index_to_signs arity", lambda v: index_to_signs(0, v), 1, MAX_ARITY),
+    ("complement_index arity", lambda v: complement_index(0, v), 1, MAX_ARITY),
+    ("flip_coordinate arity", lambda v: flip_coordinate(0, 1, v), 1, MAX_ARITY),
+    ("flip_coordinate coordinate", lambda v: flip_coordinate(0, v, 3), 1, 3),
+    ("majority arity", majority, 1, MAX_ARITY),
+    ("LtfSpec weight", lambda v: LtfSpec((v, 1, 1)), None, None),
+    ("LtfSpec threshold", lambda v: LtfSpec((1, 1, 1), v), None, None),
+    ("character_matrix arity", character_matrix, 1, ORACLE_MAX_ARITY),
+    ("StabilityPolynomial numerator", lambda v: StabilityPolynomial((0, v), 1), None, None),
+    ("StabilityPolynomial denominator", lambda v: StabilityPolynomial((0, 1), v), 1, None),
+    ("grid_numerators points", StabilityPolynomial((0, 1), 1).grid_numerators, 1, None),
+    ("influence coordinate", lambda v: influence(MAJ3, v), 1, 3),
+    ("spectral influence coordinate", lambda v: influence_from_spectrum(MAJ3_SPECTRUM, v), 1, 3),
+    ("degree_weight degree", lambda v: degree_weight(MAJ3_SPECTRUM, v), 0, 3),
+    ("compare_stability grid", lambda v: compare_stability(MAJ3, MAJ3, v), 2, MAX_GRID),
+    ("crossover_scan resolution", lambda v: crossover_scan(MAJ3, MAJ3, v), 2, MAX_GRID),
+    ("search arity", lambda v: search_counterexamples(v, 2), 1, SEARCH_MAX_ARITY),
+    ("search max_weight", lambda v: search_counterexamples(3, v), 1, None),
+]
+
+
+def test_every_integer_input_refuses_non_integers_and_its_range_ends():
+    missed = []
+    for name, call, lo, hi in INTEGER_INPUTS:
+        start = 1 if lo is None else lo
+        values = [float(start), Fraction(256), str(start)]
+        values += [] if lo is None else [lo - 1]
+        values += [] if hi is None else [hi + 1]
+        for value in values:
+            try:
+                call(value)
+            except ValueError:
+                continue
+            missed.append((name, value))
+    assert missed == []
+
+
+def test_checked_int_returns_python_ints_within_its_bounds():
+    assert type(checked_int(np.int64(7), "x", 7, 7)) is int
+    assert type(checked_int(np.uint8(0), "x", lo=0)) is int
+    assert checked_int(True, "x") == 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        checked_int(7.0, "x")
+    with pytest.raises(ValueError, match="at least 8"):
+        checked_int(7, "x", lo=8)
+    with pytest.raises(ValueError, match="capped at 6: 7 is over the limit"):
+        checked_int(7, "x", hi=6)

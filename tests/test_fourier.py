@@ -1,5 +1,6 @@
 """Spectral quantities against independent brute-force references."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -362,6 +363,24 @@ def test_stability_polynomial_evaluate_accepts_ints():
 def test_grid_numerators_rejects_grids_without_an_interval(points):
     with pytest.raises(ValueError):
         StabilityPolynomial((0, 1), 1).grid_numerators(points)
+
+
+def test_numpy_integer_grid_gives_the_int_numerators():
+    # G^d at G = 256 and d = 9 is 2^72: int64 samples would wrap.
+    poly = stability_polynomial(wht(majority(9)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poly.grid_numerators(np.int64(256)) == poly.grid_numerators(256)
+
+
+def test_numpy_integer_coefficients_evaluate_like_int_ones():
+    poly = stability_polynomial(wht(majority(9)))
+    wide = StabilityPolynomial(tuple(map(np.int64, poly.numerators)), np.int64(poly.denominator))
+    assert type(wide.denominator) is int
+    assert all(type(a) is int for a in wide.numerators)
+    # q^9 at q = 2^20 is far past int64.
+    for rho in (Fraction(1, 3), Fraction(1, 2**20), Fraction(-5, 7)):
+        assert wide.evaluate(rho) == poly.evaluate(rho)
 
 
 def test_stability_polynomial_holds_integers_over_4_to_the_n():

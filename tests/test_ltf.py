@@ -205,3 +205,42 @@ def test_spec_validation():
         LtfSpec((1,) * 25)
     with pytest.raises(ValueError):
         LtfSpec((1, 2), 0, "coin_flip")
+    # Integral weights and thresholds only: 2.7 is not rounded to 2, and a
+    # spec rendered as 1,1,1@0.5 could not be parsed back.
+    with pytest.raises(ValueError, match="integer"):
+        LtfSpec((2.7, 1, 1))
+    with pytest.raises(ValueError, match="integer"):
+        LtfSpec((1, 1, 1), 0.5)
+    assert majority(np.int64(5)) == majority(5)
+
+
+class _SumsReached(Exception):
+    """Raised in place of allocating the weighted sums."""
+
+
+def test_weighted_sums_bit_bound_is_checked_before_allocation(monkeypatch):
+    def reached(weights):
+        raise _SumsReached
+
+    monkeypatch.setattr(ltf, "_sums_by_doubling", reached)
+    nines = int("9" * 4000)
+    # 2^24 Python ints of 13,293 bits each: tens of GiB if it were allocated.
+    for call in (materialize, tie_witness):
+        with pytest.raises(ValueError, match="over the limit"):
+            call(LtfSpec((nines,) * 24))
+    over = (
+        LtfSpec((nines,) * 16 + (1,)),  # n - 1 nines at n = 17
+        LtfSpec((1,) * 24, 2**64 - 24),  # |w|_1 + |theta| = 2^64: 65 bits at n = 24
+    )
+    admitted = (
+        LtfSpec((nines,) * 15 + (1,)),  # n - 1 nines at n = 16
+        LtfSpec((1,) * 24, 2**63 - 24),  # 2^63: 64 bits at n = 24, on the bound
+        LtfSpec((2**62 + 1,) + (1,) * 23),  # 63 bits at n = 24
+        parse_spec("4611686018427387905,3,1@-2"),
+    )
+    for spec in over:
+        with pytest.raises(ValueError, match="over the limit"):
+            materialize(spec)
+    for spec in admitted:
+        with pytest.raises(_SumsReached):
+            materialize(spec)
