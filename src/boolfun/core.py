@@ -62,9 +62,12 @@ def checked_ints(values, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
-def _check_index(j: int, n: int) -> None:
+def _checked_index(j: int, n: int) -> int:
+    """``j`` as a Python int; IndexError, not ValueError, outside [0, 2^n)."""
+    j = checked_int(j, "input index")
     if not 0 <= j < (1 << n):
         raise IndexError(f"input index {j} out of range for arity {n}")
+    return j
 
 
 def low_half_mask(size: int, stride: int) -> int:
@@ -87,7 +90,7 @@ def low_half_mask(size: int, stride: int) -> int:
 def index_to_signs(j: int, n: int) -> tuple[int, ...]:
     """Decode index j to its point (x_1, ..., x_n) with entries +-1."""
     n = checked_int(n, "arity", 1, MAX_ARITY)
-    _check_index(j, n)
+    j = _checked_index(j, n)
     return tuple(1 if (j >> i) & 1 else -1 for i in range(n))
 
 
@@ -105,14 +108,14 @@ def signs_to_index(signs) -> int:
 def flip_coordinate(j: int, i: int, n: int) -> int:
     """Toggle coordinate i (1-based) of input index j. Involutive."""
     n = checked_int(n, "arity", 1, MAX_ARITY)
-    _check_index(j, n)
+    j = _checked_index(j, n)
     return j ^ (1 << (checked_int(i, "coordinate", 1, n) - 1))
 
 
 def complement_index(j: int, n: int) -> int:
     """Index of -x, the point with every coordinate of j negated."""
     n = checked_int(n, "arity", 1, MAX_ARITY)
-    _check_index(j, n)
+    j = _checked_index(j, n)
     return j ^ ((1 << n) - 1)
 
 
@@ -169,7 +172,7 @@ class BooleanFunction:
 
     def evaluate(self, j: int) -> int:
         """The stored sign (+1 or -1) at input index j."""
-        _check_index(j, self.n)
+        j = _checked_index(j, self.n)
         return 1 if (self.table >> j) & 1 else -1
 
     def signs(self) -> np.ndarray:

@@ -5,9 +5,11 @@ subset mask S, where fhat(S) = 2^-n sum_x f(x) chi_S(x) and chi_S(x) is the
 product of the coordinates in S. Division happens only at the reporting
 boundary, so every published value is an exact Fraction in lowest terms.
 
-With arity capped at 24, the fast paths are exact: the transform's int32
-partial sums and spectrum stay within 2^24 < 2^31, squares are taken in int64
-or float64, and level sums of squares stay within 4^24 = 2^48 < 2^53.
+With arity capped at 24, the fast paths are exact: the transform's stage k
+leaves every value within 2^k, so it runs stages 1-6 in int8, 7-14 in int16
+and the rest in int32, and the int32 spectrum stays within 2^24 < 2^31;
+squares are taken in int64 or float64, and level sums of squares stay within
+4^24 = 2^48 < 2^53.
 """
 
 from __future__ import annotations
@@ -18,7 +20,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .core import ORACLE_MAX_ARITY, BooleanFunction, checked_int, checked_ints, low_half_mask
+from .core import (
+    MAX_ARITY,
+    ORACLE_MAX_ARITY,
+    BooleanFunction,
+    checked_int,
+    checked_ints,
+    low_half_mask,
+)
 
 __all__ = [
     "FourierExpansion",
@@ -45,6 +54,7 @@ class FourierExpansion:
     scaled: np.ndarray  # scaled[S] = 2^n * fhat(S); int32 from wht, |.| <= 2^24
 
     def __post_init__(self):
+        object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
         if self.scaled.shape != (1 << self.n,):
             raise ValueError("coefficient vector length must be 2^n")
         self.scaled.setflags(write=False)
@@ -139,17 +149,21 @@ def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
 def wht(f: BooleanFunction) -> FourierExpansion:
     """Full spectrum by the fast transform, n * 2^n integer operations.
 
-    The stages run in int32, and the spectrum stays int32: every value, 2y
-    included, is a signed sum of at most 2^n entries +-1, so |.| <= 2^n <=
-    2^24 < 2^31. The stages of the 4 low bits run on the transpose, where
-    their inner runs are 2^(n-4) entries long instead of 1..8; the rest
-    after transposing back.
+    Each array is as narrow as a bound proven in advance allows. Stage k
+    maps two values within 2^(k-1) to values within 2^k and forms 2y, within
+    2^k, on the way; so stages 1-6 fit int8 (2^6 <= 127), stages 7-14 int16
+    (2^14 <= 32767) and the rest int32 (2^24 < 2^31), which the spectrum
+    keeps. The 6 low-bit stages run on the transpose, where their inner runs
+    are 2^(n-6) entries long instead of 1..32; transposing back widens to
+    int16, and one more copy to int32 covers the stages past 14.
     """
-    low = min(f.n, 4)
-    vec = f.signs().reshape(-1, 1 << low).T.astype(np.int32, order="C")
+    low, mid = min(f.n, 6), min(f.n, 14)
+    vec = f.signs().reshape(-1, 1 << low).T.copy()  # int8
     _stages(vec.reshape(-1), f.n - low, f.n)
-    vec = np.ascontiguousarray(vec.T).reshape(-1)
-    _stages(vec, low, f.n)
+    vec = vec.T.astype(np.int16, order="C").reshape(-1)
+    _stages(vec, low, mid)
+    vec = vec.astype(np.int32)
+    _stages(vec, mid, f.n)
     return FourierExpansion(f.n, vec)
 
 
@@ -194,6 +208,7 @@ def naive_expansion(f: BooleanFunction) -> FourierExpansion:
 
 def coefficient(e: FourierExpansion, subset_mask: int) -> Fraction:
     """fhat(S) in lowest terms for the subset with the given bit mask."""
+    subset_mask = checked_int(subset_mask, "subset mask")
     if not 0 <= subset_mask < e.size:
         raise IndexError(f"subset mask {subset_mask} out of range for arity {e.n}")
     return Fraction(int(e.scaled[subset_mask]), e.size)

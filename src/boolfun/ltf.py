@@ -120,21 +120,27 @@ def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:
 
 
 # Cap on 2^n * bits(|w|_1 + |theta|), the payload of a spec's 2^n sums, checked
-# before they exist. int64 sums (< 2^62) always pass: 62 * 2^24 < 2^30. Python
+# before they exist. Fixed-width sums (< 2^62) always pass: 62 * 2^24 < 2^30. Python
 # int sums cost 2^n objects of that width: 2^62+1,1,...,1 at n = 24 passes and
 # peaks at 946 MiB, the worst case; n - 1 weights of 4,000 nines, which double
 # their peak with each arity (143 MiB at n = 16), are refused from n = 17 on.
 MAX_SUM_BITS = 2**30
 
+# Sum dtypes by the bound B = |w|_1 + |theta|: the first whose limit exceeds B.
+_SUM_WIDTHS = ((2**14, np.int16), (2**30, np.int32), (2**62, np.int64))
+
 
 def _weighted_sums(spec: LtfSpec) -> np.ndarray:
     """w . x for every input index of the spec, by ``_sums_by_doubling``.
 
-    Falls back to Python integers if |w|_1 could approach int64 limits.
+    Every partial sum of the doubling, and theta itself, lies within
+    +-B, B = |w|_1 + |theta|. So the sums run in int16 if B < 2^14, int32 if
+    B < 2^30, int64 if B < 2^62, each limit half its dtype's maximum, as the
+    int64 cut-off always was, and in Python integers past that.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
     checked_int((1 << spec.n) * bound.bit_length(), "2^n * bits(|w|_1 + |theta|)", hi=MAX_SUM_BITS)
-    dtype = np.int64 if bound < 2**62 else object
+    dtype = next((dtype for limit, dtype in _SUM_WIDTHS if bound < limit), object)
     return _sums_by_doubling(np.array(spec.weights, dtype=dtype))
 
 

@@ -59,9 +59,10 @@ def weighted_sums_oracle(spec: LtfSpec) -> np.ndarray:
     """w . x for every input index by concatenation, one new array per weight.
 
     Appending a coordinate extends the array with the -w half (bit clear)
-    followed by the +w half (bit set). Same dtype rule as the library:
-    int64, or Python integers once |w|_1 + |theta| reaches 2^62. The
-    reference that the in-place ``ltf._weighted_sums`` must equal exactly.
+    followed by the +w half (bit set). It keeps its own dtype rule, int64
+    or Python integers once |w|_1 + |theta| reaches 2^62, apart from the
+    library's int16/int32/int64 choice: the reference whose values the
+    in-place ``ltf._weighted_sums`` must equal exactly, at any width.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
     sums = np.zeros(1, dtype=np.int64 if bound < 2**62 else object)
@@ -181,8 +182,8 @@ def butterfly_oracle(f: BooleanFunction) -> np.ndarray:
     """Scaled coefficients by the plain int64 butterfly, one stage per bit.
 
     Each stage copies the bit-clear half and maps pairs (x, y) to
-    (x + y, y - x); this is the reference that the blocked int32 ``wht``
-    must equal exactly, up to n = 24.
+    (x + y, y - x); this is the reference that ``wht``, with its stages in
+    int8, int16 and int32, must equal exactly, up to n = 24.
     """
     vec = f.signs().astype(np.int64)
     h = 1

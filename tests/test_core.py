@@ -12,10 +12,12 @@ from boolfun import (
     ORACLE_MAX_ARITY,
     SEARCH_MAX_ARITY,
     BooleanFunction,
+    FourierExpansion,
     LtfSpec,
     StabilityPolynomial,
     character_matrix,
     checked_int,
+    coefficient,
     compare_stability,
     complement_index,
     counterexample,
@@ -260,6 +262,7 @@ INTEGER_INPUTS = [
     ("LtfSpec weight", lambda v: LtfSpec((v, 1, 1)), None, None),
     ("LtfSpec threshold", lambda v: LtfSpec((1, 1, 1), v), None, None),
     ("character_matrix arity", character_matrix, 1, ORACLE_MAX_ARITY),
+    ("FourierExpansion arity", lambda v: FourierExpansion(v, np.zeros(2, np.int32)), 1, MAX_ARITY),
     ("StabilityPolynomial numerator", lambda v: StabilityPolynomial((0, v), 1), None, None),
     ("StabilityPolynomial denominator", lambda v: StabilityPolynomial((0, 1), v), 1, None),
     ("grid_numerators points", StabilityPolynomial((0, 1), 1).grid_numerators, 1, None),
@@ -287,6 +290,42 @@ def test_every_integer_input_refuses_non_integers_and_its_range_ends():
                 continue
             missed.append((name, value))
     assert missed == []
+
+
+# Every index a public entry point takes: (name, call on the value, size).
+# A non-integer is a ValueError like any other; an integer outside
+# [0, size) stays an IndexError.
+INDEX_INPUTS = [
+    ("evaluate index", MAJ3.evaluate, 8),
+    ("index_to_signs index", lambda v: index_to_signs(v, 3), 8),
+    ("flip_coordinate index", lambda v: flip_coordinate(v, 1, 3), 8),
+    ("complement_index index", lambda v: complement_index(v, 3), 8),
+    ("coefficient subset mask", lambda v: coefficient(MAJ3_SPECTRUM, v), 8),
+]
+
+
+def test_every_index_input_refuses_non_integers_and_its_range_ends():
+    missed = []
+    for name, call, size in INDEX_INPUTS:
+        for value, error in [
+            (1.0, ValueError),
+            (Fraction(1), ValueError),
+            ("1", ValueError),
+            (-1, IndexError),
+            (size, IndexError),
+        ]:
+            try:
+                call(value)
+            except error:
+                continue
+            missed.append((name, value))
+        call(np.int64(size - 1))
+    assert missed == []
+
+
+def test_numpy_integer_arity_is_stored_as_an_int():
+    e = FourierExpansion(np.int64(1), np.zeros(2, np.int32))
+    assert type(e.n) is int and e.size == 2
 
 
 def test_checked_int_returns_python_ints_within_its_bounds():

@@ -91,6 +91,8 @@ def test_coefficient_mask_range():
     e = wht(DICTATOR)
     with pytest.raises(IndexError):
         coefficient(e, 2)
+    with pytest.raises(IndexError):
+        coefficient(e, -1)
 
 
 def test_wht_equals_naive_exhaustive_n2():
@@ -139,6 +141,28 @@ def test_constant_function_spectrum_at_int32_bound(sign):
     assert e.scaled[0] == sign * (1 << n)
     assert np.count_nonzero(e.scaled) == 1
     assert stability_polynomial(e).weights == (Fraction(1),) + (Fraction(0),) * n
+
+
+def stage_edge_function(case: str, n: int) -> BooleanFunction:
+    """+1, -1 or the parity chi_[n]: each reaches +-2^k, the bound, after stage k."""
+    if case == "parity":
+        # chi_[n](j) = -1 exactly when an odd number of coordinates are -1.
+        minus = (n - np.bitwise_count(np.arange(1 << n, dtype=np.uint32))) & 1
+        return BooleanFunction.from_signs(1 - 2 * minus.astype(np.int8))
+    return BooleanFunction(n, (1 << (1 << n)) - 1 if case == "one" else 0)
+
+
+# wht runs stages 1-6 in int8 and 7-14 in int16: n = 6 and 14 fill each width
+# to its bound 2^k, n = 7 and 15 cross into the next, and n = 24 is the cap.
+@pytest.mark.parametrize("n", [6, 7, 14, 15, 24])
+@pytest.mark.parametrize("case", ["one", "minus_one", "parity"])
+def test_wht_at_every_width_edge_equals_int64_oracle(case, n):
+    f = stage_edge_function(case, n)
+    e = wht(f)
+    assert e.scaled.dtype == np.int32
+    expected = butterfly_oracle(f)
+    assert np.array_equal(e.scaled, expected)
+    assert np.count_nonzero(expected) == 1 and np.abs(expected).max() == 1 << n
 
 
 def test_wht_and_levels_match_int64_oracles_at_arity_cap():

@@ -61,12 +61,13 @@ def test_tie_mapped_to_minus_one():
     assert f.evaluate(signs_to_index((1, 1, 1, 1, 1))) == 1
 
 
-def assert_matches_oracle(weights, theta):
+def assert_matches_oracle(weights, theta, dtype):
     """Sums, first tie and table equal the concatenation oracle's, under both
-    tie policies; reject raises at the oracle's first tie."""
+    tie policies; reject raises at the oracle's first tie. The sums have the
+    stated ``dtype``; the oracle stays int64 or object whatever it is."""
     expected_sums = weighted_sums_oracle(LtfSpec(weights, theta))
     sums = ltf._weighted_sums(LtfSpec(weights, theta))
-    assert sums.dtype == expected_sums.dtype and np.array_equal(sums, expected_sums)
+    assert sums.dtype == dtype and np.array_equal(sums, expected_sums)
     del sums
     expected, tie = table_oracle(expected_sums, theta)
     del expected_sums
@@ -91,7 +92,8 @@ def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
         weights = tuple(int(x) for x in rng.integers(-3, 4, size=n))
         theta = int(rng.integers(-n, n + 1))
         theta += (theta - sum(weights) + k) % 2
-        assert_matches_oracle(weights, theta)
+        # |w|_1 + |theta| <= 3n + n + 1 <= 97 < 2^14.
+        assert_matches_oracle(weights, theta, np.int16)
         block.append(weights)
     # The doubling routine on the stacked block, vectors as the columns of an
     # (n, count) array as the search screen calls it, equals the oracle column
@@ -119,7 +121,28 @@ def test_huge_weights_take_the_object_path():
         # theta = w . x for a random x, so even k always ties.
         x = rng.choice([-1, 1], size=6)
         theta = sum(w * int(s) for w, s in zip(weights, x)) + k % 2
-        assert_matches_oracle(weights, theta)
+        assert_matches_oracle(weights, theta, object)
+
+
+# The stated width of ltf._weighted_sums at each side of its three cut-offs,
+# by B = |w|_1 + |theta|: int16 below 2^14, int32 below 2^30, int64 below 2^62.
+SUM_WIDTH_EDGES = [
+    (2**14 - 1, np.int16),
+    (2**14, np.int32),
+    (2**30 - 1, np.int32),
+    (2**30, np.int64),
+    (2**62 - 1, np.int64),
+]
+
+
+@pytest.mark.parametrize("bound, dtype", SUM_WIDTH_EDGES)
+def test_weighted_sums_take_the_stated_width_at_each_edge(bound, dtype):
+    # B all in the weights, so the sums reach +-B; then B split between the
+    # weights and theta = +-floor(B/2), which w . x hits exactly when B is even.
+    assert_matches_oracle((bound - 5, 1, 1, 1, 1, 1), 0, dtype)
+    half = bound // 2
+    for theta in (half, -half):
+        assert_matches_oracle((bound - half - 2, 1, -1), theta, dtype)
 
 
 def test_majority_basics():
