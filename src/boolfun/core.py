@@ -205,7 +205,7 @@ class BooleanFunction:
         ``perm`` is a 1-based permutation of 1..n. Applying sigma then pi
         equals applying the single composite i -> pi(sigma(i)).
         """
-        p = tuple(perm)
+        p = checked_ints(perm, "permutation entries")
         if sorted(p) != list(range(1, self.n + 1)):
             raise ValueError(f"malformed permutation {perm!r} for arity {self.n}")
         idx = np.arange(self.size, dtype=np.int64)

@@ -55,6 +55,9 @@ class FourierExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
+        # Checked in O(1), with no copy: wht's int32 spectrum sets the n = 24 peak.
+        if not (isinstance(self.scaled, np.ndarray) and np.issubdtype(self.scaled.dtype, np.integer)):
+            raise ValueError("scaled coefficients must be a numpy array of an integer dtype")
         if self.scaled.shape != (1 << self.n,):
             raise ValueError("coefficient vector length must be 2^n")
         self.scaled.setflags(write=False)

@@ -1,0 +1,86 @@
+"""Check the command line row by row, exit 1 if one fails: ``tests/console_checks.py CMD...``
+
+CMD is ``boolfun`` installed, or ``python -m boolfun`` with ``PYTHONPATH=src``. Each row runs in a
+fresh child in its own empty directory, with a relative ``--out`` and a kill timer. A Linux child's
+``ru_maxrss`` (via ``os.wait4``) keeps its spawner's peak across ``exec``, so this process holds no
+output in memory and prints its own peak; pytest, whose peak passes the bounds, runs no row.
+"""
+
+import collections, hashlib, io, os, resource, subprocess, sys, tempfile, threading
+from pathlib import Path
+
+from test_golden import CASES, GOLDEN, JUNK, golden_out_path
+
+REPO = Path(__file__).resolve().parent.parent
+PATHS = os.environ.get("PYTHONPATH", "").split(os.pathsep)  # absolute: children run elsewhere
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(map(os.path.abspath, filter(None, PATHS))))
+# stdout and out (the --out file): bytes, a file or a sha256, or None; prog replaces CMD.
+Row = collections.namedtuple("Row", "args code stdout out peak_mib timeout stale prog",
+                             defaults=(0, None, None, float("inf"), 60, False, ()))
+
+
+def sha256(data) -> str:
+    """The sha256 of bytes, or of a file read in chunks ("missing" if none); a str is one."""
+    if isinstance(data, str) or isinstance(data, Path) and not data.exists():
+        return data if isinstance(data, str) else "missing"
+    h = hashlib.sha256()
+    with io.BytesIO(data) if isinstance(data, bytes) else open(data, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
+def run(cmd: tuple, rows) -> int:
+    """Run and print every row; 0 if all pass, else 1."""
+    failed = 0
+    for row in rows:
+        with tempfile.TemporaryDirectory() as root, tempfile.TemporaryDirectory(dir=root) as cwd:
+            out = Path(cwd, row.args[row.args.index("--out") + 1]) if row.out is not None else None
+            if row.stale:
+                out.write_bytes(row.out.read_bytes() + JUNK)
+            with open(Path(root, "stdout"), "wb") as f:
+                child = subprocess.Popen((row.prog or cmd) + row.args, cwd=cwd, stdout=f, env=ENV)
+            (timer := threading.Timer(row.timeout, child.kill)).start()
+            _, status, usage = os.wait4(child.pid, 0)
+            timer.cancel()
+            child.returncode = code = os.waitstatus_to_exitcode(status)  # -9 if the timer fired
+            peak = usage.ru_maxrss / 1024
+            problems = [f"exit code {code}, expected {row.code}"] * (code != row.code)
+            problems += [f"{peak:.1f} MiB peak RSS, over {row.peak_mib}"] * (peak > row.peak_mib)
+            problems += [f"{got.name} sha256 {sha256(got)} is not {want}"
+                         for got, want in [(Path(f.name), row.stdout), (out, row.out)]
+                         if want is not None and sha256(got) != sha256(want)]
+        label = " ".join(row.args).removeprefix(f"{REPO}/")[:70] + " (stale out file)" * row.stale
+        print(f"{'FAIL' if problems else 'ok':4} {peak:6.1f} MiB  {label}", *problems, sep="\n  ")
+        failed += bool(problems)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(rows) - failed} of {len(rows)} rows passed; the checker's own peak: {own:.1f} MiB")
+    return 1 if failed else 0
+
+
+N24 = "23,22,21,20,19,18,17,16,15,14,13,12,11,10,9,8,7,6,5,4,3,2,1,25"
+ROWS = [
+    *(Row((*argv, *(("--out", out) if out else ())), code, GOLDEN / f"{name}.stdout",
+          out and golden_out_path(name), stale=stale)
+      for name, (argv, out, code) in CASES.items() for stale in (False, True)[: 1 + bool(out)]),
+    # n = 9 at SEARCH_MAX_VECTORS, int16 sums up to 135; it read 256 MiB through json.dumps.
+    Row(("search", "9", "15", "--out", "out.json"), peak_mib=160, timeout=300,
+        out="912a370a3b597e8f6f5e7a31cda38f377bd819a07d6d2f7822eac1c2d47831d4"),
+    # n = 24 read 145/149 MiB; 175/177 with int32 stages and int64 sums, 225 with an int64 spectrum.
+    Row(("analyze", N24), peak_mib=160, timeout=300,
+        stdout="e535f6b02ffc06da6a3be76048fafa823a58971b62a0faf53684aed6765a3dfb"),
+    Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65536",
+         "--out", "out.csv"), peak_mib=165, timeout=120),
+    Row(("search", "5", "2", "--parallel", "33", "--out", "out.json"), code=2),  # > MAX_WORKERS
+    Row(("compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", "65537", "--out", "out.csv"), code=2),
+    Row(("table", ",".join(["9" * 4000] * 24)), code=2, timeout=30),  # > MAX_SUM_BITS, no sums
+    Row(("compare", "2,2,1,1,1", "1,1,1,1,1", "--out", "/dev/null")),  # written, not truncated
+    Row(("compare", "1,1,1@-2", "1,1,1", "--out", "out.csv"), timeout=30),  # unequal W_0
+    Row(("table", "4611686018427387905,3,1@-2"), stdout=b"aa\n"),  # sums in Python ints
+    Row(("search", "5", "2", "--parallel", "8", "--out", "out.json"),  # no workers: same file
+        out=golden_out_path("search_5_2")),
+    *(Row((str(demo),), prog=(sys.executable,)) for demo in sorted(REPO.glob("demos/*.py"))),
+]
+
+if __name__ == "__main__":
+    sys.exit(run(tuple(sys.argv[1:]), ROWS) if sys.argv[1:] else f"usage: {sys.argv[0]} CMD...")

@@ -259,6 +259,7 @@ INTEGER_INPUTS = [
     ("flip_coordinate arity", lambda v: flip_coordinate(0, 1, v), 1, MAX_ARITY),
     ("flip_coordinate coordinate", lambda v: flip_coordinate(0, v, 3), 1, 3),
     ("majority arity", majority, 1, MAX_ARITY),
+    ("permute_coordinates entry", lambda v: MAJ3.permute_coordinates((v, 2, 3)), 1, 1),
     ("LtfSpec weight", lambda v: LtfSpec((v, 1, 1)), None, None),
     ("LtfSpec threshold", lambda v: LtfSpec((1, 1, 1), v), None, None),
     ("character_matrix arity", character_matrix, 1, ORACLE_MAX_ARITY),

@@ -131,6 +131,20 @@ def test_inverse_transform_rejects_non_spectra():
             inverse_wht(FourierExpansion(n, scaled))
 
 
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda: coefficient(FourierExpansion(2, np.array([0.5, 0, 0, 0])), 0),
+        lambda: inverse_wht(FourierExpansion(1, np.array([0.9, 2.0]))),
+        lambda: FourierExpansion(1, [0, 2]),
+    ],
+    ids=["float coefficient", "float inverse", "list"],
+)
+def test_expansion_refuses_a_spectrum_without_an_integer_dtype(use):
+    with pytest.raises(ValueError, match="integer dtype"):
+        use()
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_constant_function_spectrum_at_int32_bound(sign):
     # scaled[0] = +-2^24 is the largest partial sum the int32 stages hold.
