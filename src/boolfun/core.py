@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,14 @@ __all__ = [
 
 # Byte b with its 8 bits in reverse order, as a bytes.translate table.
 _BIT_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+# Entry i - 1 keeps, in one 64-bit word, the bits whose 2^(i-1) bit is clear:
+# the bit-clear ends of the coordinate-i edges that stay inside a word (i <= 6).
+_CLEAR_END_MASKS = np.array(
+    [0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F,
+     0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0x00000000FFFFFFFF],
+    dtype=np.uint64,
+)
 
 
 def checked_int(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
@@ -68,23 +77,6 @@ def _checked_index(j: int, n: int) -> int:
     if not 0 <= j < (1 << n):
         raise IndexError(f"input index {j} out of range for arity {n}")
     return j
-
-
-def low_half_mask(size: int, stride: int) -> int:
-    """Bit mask over [0, size) selecting indices whose ``stride`` bit is clear.
-
-    ``stride`` is a power of two below ``size``; ANDing a packed table with
-    the mask keeps the bit-clear end of every coordinate edge (j, j + stride).
-    Built by doubling from the ``stride`` low bits, each step ORing in a copy
-    shifted by the current width: O(size * log(size / stride)) bit operations,
-    where dividing out the equivalent repunit would cost O(size * stride).
-    """
-    mask = (1 << stride) - 1
-    width = 2 * stride
-    while width < size:
-        mask |= mask << width
-        width *= 2
-    return mask
 
 
 def index_to_signs(j: int, n: int) -> tuple[int, ...]:
@@ -126,6 +118,9 @@ class BooleanFunction:
     ``table`` is a nonnegative int whose bit j is set iff f(j) = +1; bits at
     or above 2^n must be zero. Instances are immutable and hashable, and all
     operations below are pure, so unrestricted concurrent reads are safe.
+    The one cached value, the read-only word view ``_words``, is built on
+    first use; two concurrent first reads may both build it, and both build
+    the same bytes. Equality, hashing and pickles see only the fields.
     """
 
     n: int
@@ -137,14 +132,24 @@ class BooleanFunction:
         if self.table >> self.size:
             raise ValueError(f"table has bits beyond the {self.size} valid positions")
 
+    def __getstate__(self):
+        return {"n": self.n, "table": self.table}
+
     @property
     def size(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def _words(self) -> np.ndarray:
+        """The table as read-only little-endian uint64 words, zero-padded below n = 6."""
+        return np.frombuffer(self.table.to_bytes(max(8, self.size // 8), "little"), dtype="<u8")
 
     @classmethod
     def from_signs(cls, signs) -> "BooleanFunction":
         """Build from a length-2^n sequence of +-1 values indexed by j."""
         vec = np.asarray(signs)
+        if vec.ndim != 1 or not np.issubdtype(vec.dtype, np.integer):
+            raise ValueError(f"sign vector must be 1-D and integer, not {vec.ndim}-D {vec.dtype}")
         size = vec.size
         if size < 2 or size & (size - 1):
             raise ValueError(f"sign vector length {size} is not a power of two >= 2")
@@ -177,10 +182,11 @@ class BooleanFunction:
 
     def signs(self) -> np.ndarray:
         """The full table as an int8 array of +-1, indexed by j."""
-        nbytes = (self.size + 7) // 8
-        raw = np.frombuffer(self.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, bitorder="little", count=self.size)
-        return bits.astype(np.int8) * 2 - 1
+        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little", count=self.size)
+        signs = bits.view(np.int8)
+        signs *= 2  # in place: bits 0/1 become -1/+1 with no temporary
+        signs -= 1
+        return signs
 
     def ones(self) -> int:
         """Number of inputs mapped to +1."""
@@ -213,3 +219,22 @@ class BooleanFunction:
         for i, target in enumerate(p):
             src |= ((idx >> (target - 1)) & 1) << i
         return BooleanFunction.from_signs(self.signs()[src])
+
+
+def edge_ends(f: BooleanFunction, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Words holding the bit-clear and bit-set ends of every coordinate-i edge.
+
+    Bit b of ``lo[k]`` and bit b of ``hi[k]`` are f's two bits on one edge
+    (j, j + 2^(i-1)), 1 <= i <= n; every other bit is zero in both. For
+    i <= 6 an edge lies inside one word: ``lo`` masks the words and ``hi``
+    masks them shifted down by 2^(i-1). For i >= 7 the stride is 2^(i-7)
+    whole words, so the halves of a reshape pair them. Below n = 6 the
+    padding bits of the one word are zero, so neither end holds a set bit
+    outside the table.
+    """
+    words = f._words
+    if i <= 6:
+        mask = _CLEAR_END_MASKS[i - 1]
+        return words & mask, (words >> (1 << (i - 1))) & mask
+    halves = words.reshape(-1, 2, 1 << (i - 7))
+    return halves[:, 0], halves[:, 1]

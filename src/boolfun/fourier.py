@@ -26,7 +26,7 @@ from .core import (
     BooleanFunction,
     checked_int,
     checked_ints,
-    low_half_mask,
+    edge_ends,
 )
 
 __all__ = [
@@ -220,13 +220,12 @@ def coefficient(e: FourierExpansion, subset_mask: int) -> Fraction:
 def influence(f: BooleanFunction, i: int) -> Fraction:
     """Inf_i[f] = Pr_x[f(x) != f(x with coordinate i flipped)], exact.
 
-    Each disagreeing edge (j, j + stride) is one set bit of t ^ (t >> stride)
-    on its bit-clear end j and counts for both of its inputs, so one masked
-    popcount gives the count over all inputs.
+    Each disagreeing edge is one set bit of lo ^ hi over the edges' two ends
+    (``core.edge_ends``) and counts for both of its inputs, so one popcount
+    over the words gives the count over all inputs.
     """
-    stride = 1 << (checked_int(i, "coordinate", 1, f.n) - 1)
-    edges = (f.table ^ (f.table >> stride)) & low_half_mask(f.size, stride)
-    return Fraction(2 * edges.bit_count(), f.size)
+    lo, hi = edge_ends(f, checked_int(i, "coordinate", 1, f.n))
+    return Fraction(2 * int(np.bitwise_count(lo ^ hi).sum()), f.size)
 
 
 def influence_from_spectrum(e: FourierExpansion, i: int) -> Fraction:

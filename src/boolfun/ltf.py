@@ -20,8 +20,8 @@ from .core import (
     BooleanFunction,
     checked_int,
     checked_ints,
+    edge_ends,
     index_to_signs,
-    low_half_mask,
 )
 
 TIE_REJECT = "reject"
@@ -207,13 +207,12 @@ def is_odd(f: BooleanFunction) -> bool:
 def is_monotone(f: BooleanFunction) -> bool:
     """True iff raising any coordinate from -1 to +1 never lowers f.
 
-    Scans each coordinate's hypercube edges via packed-table shifts: a
-    violation is an index pair (j, j + stride) valued (+1, -1), a bit of
-    t & ~(t >> stride) on the edge's bit-clear end.
+    Scans each coordinate's hypercube edges over the packed words: a
+    violation is an edge valued +1 at its bit-clear end and -1 at its bit-set
+    end, a set bit of lo & ~hi (``core.edge_ends``).
     """
-    t = f.table
-    for i in range(f.n):
-        stride = 1 << i
-        if t & ~(t >> stride) & low_half_mask(f.size, stride):
+    for i in range(1, f.n + 1):
+        lo, hi = edge_ends(f, i)
+        if (lo & ~hi).any():
             return False
     return True

@@ -66,11 +66,12 @@ ROWS = [
     # n = 9 at SEARCH_MAX_VECTORS, int16 sums up to 135; it read 256 MiB through json.dumps.
     Row(("search", "9", "15", "--out", "out.json"), peak_mib=160, timeout=300,
         out="912a370a3b597e8f6f5e7a31cda38f377bd819a07d6d2f7822eac1c2d47831d4"),
-    # n = 24 read 145/149 MiB; 175/177 with int32 stages and int64 sums, 225 with an int64 spectrum.
-    Row(("analyze", N24), peak_mib=160, timeout=300,
+    # n = 24 read 129/133 MiB; 145/149 with an int8 sign vector built through two temporaries,
+    # 175/177 with int32 stages and int64 sums, 225 with an int64 spectrum.
+    Row(("analyze", N24), peak_mib=145, timeout=300,
         stdout="e535f6b02ffc06da6a3be76048fafa823a58971b62a0faf53684aed6765a3dfb"),
     Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65536",
-         "--out", "out.csv"), peak_mib=165, timeout=120),
+         "--out", "out.csv"), peak_mib=150, timeout=120),
     Row(("search", "5", "2", "--parallel", "33", "--out", "out.json"), code=2),  # > MAX_WORKERS
     Row(("compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", "65537", "--out", "out.csv"), code=2),
     Row(("table", ",".join(["9" * 4000] * 24)), code=2, timeout=30),  # > MAX_SUM_BITS, no sums

@@ -1,5 +1,6 @@
 """Truth-table representation, index encoding, table transforms, and the integer gate."""
 
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -34,7 +35,7 @@ from boolfun import (
     signs_to_index,
     wht,
 )
-from boolfun.core import low_half_mask
+from boolfun.core import _CLEAR_END_MASKS, edge_ends
 
 from helpers import random_function
 
@@ -181,6 +182,12 @@ def test_from_signs_rejects_bad_values():
         BooleanFunction.from_signs([1, 0])
     with pytest.raises(ValueError):
         BooleanFunction.from_signs([1, -1, 1])  # not a power of two
+    with pytest.raises(ValueError):
+        BooleanFunction.from_signs(np.array([[1, -1], [-1, 1]]))  # not 1-D
+    with pytest.raises(ValueError):
+        BooleanFunction.from_signs([True, True])  # bools are not signs
+    with pytest.raises(ValueError):
+        BooleanFunction.from_signs([1.0, -1.0])  # floats nowhere
 
 
 def test_construction_validation():
@@ -203,13 +210,10 @@ def test_bias_and_ones():
     assert BooleanFunction(2, 0b1111).bias() == 1
 
 
-def test_low_half_mask_selects_bit_clear_indices():
-    for n in range(1, 7):
-        size = 1 << n
-        for i in range(n):
-            stride = 1 << i
-            expected = sum(1 << j for j in range(size) if not j & stride)
-            assert low_half_mask(size, stride) == expected
+def test_edge_masks_select_bit_clear_bits():
+    for i, mask in enumerate(_CLEAR_END_MASKS.tolist(), start=1):
+        stride = 1 << (i - 1)
+        assert mask == sum(1 << b for b in range(64) if not b & stride)
 
 
 def repunit_mask(size: int, stride: int) -> int:
@@ -217,22 +221,31 @@ def repunit_mask(size: int, stride: int) -> int:
     return ((1 << stride) - 1) * (((1 << size) - 1) // ((1 << (2 * stride)) - 1))
 
 
-def test_low_half_mask_matches_repunit_division():
-    for n in range(1, 17):
-        size = 1 << n
-        for i in range(n):
-            assert low_half_mask(size, 1 << i) == repunit_mask(size, 1 << i)
+def test_edge_masks_match_repunit_division():
+    for i, mask in enumerate(_CLEAR_END_MASKS.tolist(), start=1):
+        assert mask == repunit_mask(64, 1 << (i - 1))
 
 
-def test_low_half_mask_partitions_edges_at_arity_cap():
-    size = 1 << 24
-    full = (1 << size) - 1
-    for i in range(24):  # i = 23 is stride = size / 2, where no doubling step runs
-        stride = 1 << i
-        mask = low_half_mask(size, stride)
-        assert mask.bit_count() == size // 2
-        assert mask & (mask << stride) == 0
-        assert mask | (mask << stride) == full
+def test_edge_ends_partition_edges_at_arity_cap():
+    f = BooleanFunction(24, (1 << (1 << 24)) - 1)
+    for i in range(1, 25):  # i <= 6 masks within a word, i >= 7 pairs whole words
+        for end in edge_ends(f, i):
+            assert int(np.bitwise_count(end).sum()) == 1 << 23
+
+
+def test_word_view_is_read_only_and_leaves_identity_alone():
+    f = counterexample()
+    before = (hash(f), pickle.dumps(f))
+    words = f._words
+    assert f._words is words  # built once
+    assert not words.flags.writeable
+    with pytest.raises(ValueError):
+        words[0] = 0
+    assert (hash(f), pickle.dumps(f)) == before
+    assert f == BooleanFunction(5, f.table)
+    clone = pickle.loads(pickle.dumps(f))
+    assert clone == f and hash(clone) == hash(f)
+    assert not clone._words.flags.writeable
 
 
 def test_package_exports_resolve_once_each():

@@ -270,12 +270,17 @@ def test_influence_two_paths_agree():
 
 
 def test_influence_matches_edge_count_at_arity_cap():
-    f = random_function(24, np.random.default_rng(24))
-    signs = f.signs()
-    for i in (1, 12, 24):
-        edges = signs.reshape(-1, 2, 1 << (i - 1))
-        disagreements = int(np.count_nonzero(edges[:, 0, :] != edges[:, 1, :]))
-        assert influence(f, i) == Fraction(2 * disagreements, f.size)
+    # Every coordinate for n = 1..9: the zero-padded word below n = 6 and the
+    # in-word/whole-word cut at i = 6/7; then that cut and the ends at n = 24.
+    rng = np.random.default_rng(24)
+    cases = [(n, range(1, n + 1)) for n in range(1, 10)] + [(24, (1, 6, 7, 12, 24))]
+    for n, coordinates in cases:
+        f = random_function(n, rng)
+        signs = f.signs()
+        for i in coordinates:
+            edges = signs.reshape(-1, 2, 1 << (i - 1))
+            disagreements = int(np.count_nonzero(edges[:, 0, :] != edges[:, 1, :]))
+            assert influence(f, i) == Fraction(2 * disagreements, f.size)
 
 
 def test_degree_weights():

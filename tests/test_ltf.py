@@ -178,8 +178,16 @@ def test_is_monotone():
 
 
 def test_is_monotone_finds_the_top_coordinate_at_arity_cap():
-    # |w|_1 = 25 is odd, so the spec is tie-free; only x_24 lowers f.
-    assert not is_monotone(materialize(LtfSpec((1,) * 23 + (-2,))))
+    # |w|_1 = n + 1 is odd, so each spec is tie-free; only x_i lowers f.
+    # n = 8 puts the lone -2 at every coordinate, within a word and across
+    # words; n = 24 at the word cut (6, 7) and the top.
+    for n, coordinates in ((8, range(1, 9)), (24, (6, 7, 24))):
+        for i in coordinates:
+            weights = [1] * n
+            weights[i - 1] = -2
+            assert not is_monotone(materialize(LtfSpec(tuple(weights))))
+            weights[i - 1] = 2
+            assert is_monotone(materialize(LtfSpec(tuple(weights))))
 
 
 def test_positive_odd_sum_specs_are_monotone_odd_tie_free():
