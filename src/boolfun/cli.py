@@ -18,14 +18,13 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .conjecture import MAX_GRID, compare_stability, search_counterexamples, verify_counterexample
+from .conjecture import compare_stability, search_counterexamples, verify_counterexample
 from .core import BooleanFunction, checked_int
-from .fourier import influence, stability_polynomial, wht
+from .fourier import MAX_GRID, influence, stability_polynomial, wht
 from .ltf import (
     TIE_REJECT,
     TIE_TO_MINUS_ONE,
     TieEncountered,
-    _materialize_with_tie,
     counterexample,
     is_monotone,
     is_odd,
@@ -33,6 +32,7 @@ from .ltf import (
     materialize,
     parse_spec,
     render_spec,
+    tie_witness,
 )
 
 EXIT_OK = 0
@@ -97,7 +97,10 @@ def _comparison_display(lhs: Fraction, rhs: Fraction) -> dict:
 
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec, args.tie_policy)
-    f, tie = _materialize_with_tie(spec)
+    f = materialize(spec)
+    # Under reject, materialize has refused any tie. The scan's sums are freed
+    # before wht, so they never sit beside the spectrum at the n = 24 peak.
+    tie_broken = spec.tie_policy == TIE_TO_MINUS_ONE and tie_witness(spec) is not None
     e = wht(f)
     poly = stability_polynomial(e)
     weight_fields = [fraction_fields(w) for w in poly.weights]
@@ -105,7 +108,7 @@ def cmd_analyze(args) -> int:
         "arity": f.n,
         "weights": list(spec.weights),
         "threshold": spec.threshold,
-        "tie_broken": tie is not None,
+        "tie_broken": tie_broken,
         "table_hex": f.to_hex(),
         "ones": f.ones(),
         "bias": fraction_fields(f.bias()),

@@ -18,9 +18,9 @@ import numpy as np
 
 from .core import BooleanFunction, checked_int
 from .fourier import (
+    MAX_GRID,
     StabilityPolynomial,
     coefficient,
-    degree_weight,
     influence,
     stability_polynomial,
     wht,
@@ -47,20 +47,12 @@ SEARCH_MAX_VECTORS = 10**6
 # SEARCH_BLOCK * 2^n entries, 256 KiB at n = 9.
 SEARCH_BLOCK = 256
 
-# Largest rho grid (intervals) that compare_stability and crossover_scan
-# accept; it must stay >= 4096, the crossover_scan default. The samples are
-# one integer Horner pass over the grid per curve (D, and in `compare` the
-# candidate's curve for the CSV): at 2^16 and n = 24 `compare` took 2.6-3.1 s
-# in a fresh process on 2 cores of an x86 host, against 2.1-2.4 s at grid 256.
-MAX_GRID = 2**16
-
 # Sign-change brackets are narrowed to this width; they localize roots of the
 # difference polynomial, they do not prove isolation.
 BRACKET_WIDTH = Fraction(1, 2**40)
 
 __all__ = [
     "BRACKET_WIDTH",
-    "MAX_GRID",
     "SEARCH_MAX_ARITY",
     "SEARCH_MAX_VECTORS",
     "VERDICT_CONSISTENT",
@@ -277,11 +269,11 @@ def verify_counterexample(candidate: BooleanFunction | None = None) -> Verificat
     e_cand = wht(cand)
     inf_maj = tuple(influence(maj, i) for i in range(1, 6))
     inf_cand = tuple(influence(cand, i) for i in range(1, 6))
-    w1_maj = degree_weight(e_maj, 1)
-    w1_cand = degree_weight(e_cand, 1)
+    poly_maj = stability_polynomial(e_maj)
+    poly_cand = stability_polynomial(e_cand)
+    w1_maj, w1_cand = poly_maj.weights[1], poly_cand.weights[1]
     rho = Fraction(1, 10)
-    stab_maj = stability_polynomial(e_maj).evaluate(rho)
-    stab_cand = stability_polynomial(e_cand).evaluate(rho)
+    stab_maj, stab_cand = poly_maj.evaluate(rho), poly_cand.evaluate(rho)
 
     checks = []
 
@@ -344,8 +336,10 @@ def canonical_weight_vectors(n: int, max_weight: int):
     This canonical slice loses nothing for the W_1 screen: permuting
     coordinates or negating any of them leaves every degree weight unchanged,
     and rescaling all weights by a common factor leaves the function itself
-    unchanged.
+    unchanged. Both arguments are checked on the first ``next``.
     """
+    n = checked_int(n, "search arity", 1, SEARCH_MAX_ARITY)
+    max_weight = checked_int(max_weight, "max_weight", 1)
     for w in combinations_with_replacement(range(max_weight, 0, -1), n):
         if math.gcd(*w) == 1:
             yield w

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +29,13 @@ from .core import (
     edge_ends,
 )
 
+# Largest grid (intervals) that grid_numerators accepts, and so compare_stability
+# and crossover_scan; it must stay >= 4096, the crossover_scan default. It bounds
+# the work of a grid: one integer Horner pass over its G + 1 points per curve.
+MAX_GRID = 2**16
+
 __all__ = [
+    "MAX_GRID",
     "FourierExpansion",
     "StabilityPolynomial",
     "character_matrix",
@@ -55,11 +61,16 @@ class FourierExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
-        # Checked in O(1), with no copy: wht's int32 spectrum sets the n = 24 peak.
+        # Checked with no copy: wht's int32 spectrum sets the n = 24 peak. A +-1
+        # function has |2^n fhat(S)| <= 2^n, so nothing past that is a spectrum,
+        # and inside it every square and inverse_wht partial sum is within 4^n.
         if not (isinstance(self.scaled, np.ndarray) and np.issubdtype(self.scaled.dtype, np.integer)):
             raise ValueError("scaled coefficients must be a numpy array of an integer dtype")
         if self.scaled.shape != (1 << self.n,):
             raise ValueError("coefficient vector length must be 2^n")
+        bound = 1 << self.n
+        if int(self.scaled.min()) < -bound or int(self.scaled.max()) > bound:
+            raise ValueError(f"scaled coefficients must lie within +-2^{self.n}")
         self.scaled.setflags(write=False)
 
     @property
@@ -128,7 +139,7 @@ class StabilityPolynomial:
         One Horner pass over the grid; a caller builds a Fraction only where
         it reports one.
         """
-        points = checked_int(points, "grid intervals", 1)
+        points = checked_int(points, "grid intervals", 1, MAX_GRID)
         return self._horner(points, range(points + 1))
 
 
@@ -176,7 +187,8 @@ def inverse_wht(e: FourierExpansion) -> BooleanFunction:
     A stage's inverse (x, y) -> (x - y, x + y), up to the factor 2, is the
     forward stage with the pair swapped on both sides; reversing the index
     swaps every stage's pairs at once. So reverse, run the forward stages in
-    int64 (the input is arbitrary) and reverse back.
+    int64 and reverse back: each stage at most doubles the largest value, so
+    from entries within 2^n the partial sums stay within 4^n <= 2^48.
     """
     vec = e.scaled[::-1].astype(np.int64, order="C")
     _stages(vec, 0, e.n)
@@ -186,7 +198,6 @@ def inverse_wht(e: FourierExpansion) -> BooleanFunction:
     return BooleanFunction.from_signs(quotient)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: Fraction(3) must not hit the entry for 3
 def character_matrix(n: int) -> np.ndarray:
     """The 2^n x 2^n matrix M[S, j] = chi_S(j), by Kronecker doubling.
 
@@ -198,7 +209,6 @@ def character_matrix(n: int) -> np.ndarray:
     m = np.array([[1]], dtype=np.int64)
     for _ in range(n):
         m = np.kron(base, m)  # new coordinate takes the high bit of S and j
-    m.setflags(write=False)
     return m
 
 

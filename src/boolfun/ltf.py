@@ -155,19 +155,16 @@ def tie_witness(spec: LtfSpec) -> int | None:
     return _first_tie(_weighted_sums(spec), spec.threshold)
 
 
-def _materialize_with_tie(spec: LtfSpec) -> tuple[BooleanFunction, int | None]:
-    """The table of ``materialize`` plus ``tie_witness``, from one pass of sums."""
+def materialize(spec: LtfSpec) -> BooleanFunction:
+    """Truth table of sign(w . x - theta) under the spec's tie policy.
+
+    Only ``reject`` scans for a tie, to refuse it; ``tie_witness`` finds one.
+    """
     sums = _weighted_sums(spec)
-    tie = _first_tie(sums, spec.threshold)
-    if tie is not None and spec.tie_policy == TIE_REJECT:
+    if spec.tie_policy == TIE_REJECT and (tie := _first_tie(sums, spec.threshold)) is not None:
         raise TieEncountered(spec, tie)
     packed = np.packbits(sums > spec.threshold, bitorder="little").tobytes()
-    return BooleanFunction(spec.n, int.from_bytes(packed, "little")), tie
-
-
-def materialize(spec: LtfSpec) -> BooleanFunction:
-    """Truth table of sign(w . x - theta) under the spec's tie policy."""
-    return _materialize_with_tie(spec)[0]
+    return BooleanFunction(spec.n, int.from_bytes(packed, "little"))
 
 
 def majority(n: int) -> BooleanFunction:

@@ -75,8 +75,8 @@ def table_oracle(sums: np.ndarray, theta: int) -> tuple[BooleanFunction, int | N
     """(table with ties sent to -1, first tie index or None) from weighted sums.
 
     The table goes through an int8 +-1 vector and ``from_signs``; the
-    reference for ``ltf._materialize_with_tie``, which packs the comparison
-    straight to bits.
+    reference for ``ltf.materialize``, which packs the comparison straight
+    to bits, and for ``tie_witness``.
     """
     hits = np.flatnonzero(sums == theta)
     signs = np.where(sums > theta, 1, -1).astype(np.int8)

@@ -1,5 +1,6 @@
 """Command-line contract: reports, files, and every exit code."""
 
+import ast
 import contextlib
 import hashlib
 import io
@@ -105,6 +106,20 @@ def test_analyze_tie_policy_flag(capsys):
     )
     assert code == 0
     assert json.loads(out)["results"]["tie_broken"] is True
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    # The CLI is a client of the public API: every name it takes from a
+    # boolfun module is public (dunders such as __version__ aside).
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("boolfun"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
 
 
 def test_analyze_parse_error_exit_2(capsys):

@@ -16,6 +16,7 @@ from boolfun import (
     FourierExpansion,
     LtfSpec,
     StabilityPolynomial,
+    canonical_weight_vectors,
     character_matrix,
     checked_int,
     coefficient,
@@ -279,7 +280,7 @@ INTEGER_INPUTS = [
     ("FourierExpansion arity", lambda v: FourierExpansion(v, np.zeros(2, np.int32)), 1, MAX_ARITY),
     ("StabilityPolynomial numerator", lambda v: StabilityPolynomial((0, v), 1), None, None),
     ("StabilityPolynomial denominator", lambda v: StabilityPolynomial((0, 1), v), 1, None),
-    ("grid_numerators points", StabilityPolynomial((0, 1), 1).grid_numerators, 1, None),
+    ("grid_numerators points", StabilityPolynomial((0, 1), 1).grid_numerators, 1, MAX_GRID),
     ("influence coordinate", lambda v: influence(MAJ3, v), 1, 3),
     ("spectral influence coordinate", lambda v: influence_from_spectrum(MAJ3_SPECTRUM, v), 1, 3),
     ("degree_weight degree", lambda v: degree_weight(MAJ3_SPECTRUM, v), 0, 3),
@@ -287,6 +288,8 @@ INTEGER_INPUTS = [
     ("crossover_scan resolution", lambda v: crossover_scan(MAJ3, MAJ3, v), 2, MAX_GRID),
     ("search arity", lambda v: search_counterexamples(v, 2), 1, SEARCH_MAX_ARITY),
     ("search max_weight", lambda v: search_counterexamples(3, v), 1, None),
+    ("canonical_weight_vectors n", lambda v: next(canonical_weight_vectors(v, 2)), 1, SEARCH_MAX_ARITY),
+    ("canonical_weight_vectors max_weight", lambda v: next(canonical_weight_vectors(3, v)), 1, None),
 ]
 
 

@@ -49,6 +49,14 @@ def test_character_matrix_matches_literal_definition():
                 assert m[s, j] == literal_chi(s, j, n)
 
 
+def test_character_matrix_is_a_fresh_writeable_array_each_call():
+    first = character_matrix(3)
+    assert first.flags.writeable
+    first[0, 0] = 0
+    second = character_matrix(3)
+    assert second is not first and second[0, 0] == 1
+
+
 def test_wht_dictator():
     e = wht(DICTATOR)
     assert coefficient(e, 0) == 0
@@ -142,6 +150,27 @@ def test_inverse_transform_rejects_non_spectra():
 )
 def test_expansion_refuses_a_spectrum_without_an_integer_dtype(use):
     with pytest.raises(ValueError, match="integer dtype"):
+        use()
+
+
+def wrapped_counterexample_spectrum():
+    scaled = wht(counterexample()).scaled.astype(np.int64)
+    scaled[:2] += -(2**63)  # wraps back in inverse_wht's int64 stages
+    return FourierExpansion(5, scaled)
+
+
+@pytest.mark.parametrize(
+    "use",
+    [
+        lambda: inverse_wht(wrapped_counterexample_spectrum()),
+        lambda: stability_polynomial(FourierExpansion(1, np.array([3, 2**30 + 1]))),
+        lambda: influence_from_spectrum(FourierExpansion(1, np.array([0, 2**32])), 1),
+        lambda: FourierExpansion(1, np.array([0, 2**63], dtype=np.uint64)),
+    ],
+    ids=["int64 wrap in inverse", "float64 square", "int64 square", "uint64"],
+)
+def test_expansion_refuses_a_coefficient_outside_plus_minus_2_to_the_n(use):
+    with pytest.raises(ValueError, match="within"):
         use()
 
 
