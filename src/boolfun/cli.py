@@ -99,10 +99,10 @@ def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec, args.tie_policy)
     f = materialize(spec)
     # Under reject, materialize has refused any tie. The scan's sums are freed
-    # before wht, so they never sit beside the spectrum at the n = 24 peak.
+    # before wht, and the spectrum before the document is built, so neither
+    # sits beside another large array at the n = 24 peak.
     tie_broken = spec.tie_policy == TIE_TO_MINUS_ONE and tie_witness(spec) is not None
-    e = wht(f)
-    poly = stability_polynomial(e)
+    poly = stability_polynomial(wht(f))
     weight_fields = [fraction_fields(w) for w in poly.weights]
     results = {
         "arity": f.n,

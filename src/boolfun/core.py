@@ -155,10 +155,8 @@ class BooleanFunction:
             raise ValueError(f"sign vector length {size} is not a power of two >= 2")
         if not np.all(np.abs(vec) == 1):
             raise ValueError("sign vector entries must be +-1")
-        n = checked_int(size.bit_length() - 1, "arity", 1, MAX_ARITY)
-        bits = (vec == 1).astype(np.uint8)
-        packed = np.packbits(bits, bitorder="little").tobytes()
-        return cls(n, int.from_bytes(packed, "little"))
+        checked_int(size.bit_length() - 1, "arity", 1, MAX_ARITY)
+        return _from_mask(vec == 1)
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "BooleanFunction":
@@ -182,11 +180,7 @@ class BooleanFunction:
 
     def signs(self) -> np.ndarray:
         """The full table as an int8 array of +-1, indexed by j."""
-        bits = np.unpackbits(self._words.view(np.uint8), bitorder="little", count=self.size)
-        signs = bits.view(np.int8)
-        signs *= 2  # in place: bits 0/1 become -1/+1 with no temporary
-        signs -= 1
-        return signs
+        return _sign_block(self, 0, self.size)
 
     def ones(self) -> int:
         """Number of inputs mapped to +1."""
@@ -219,6 +213,22 @@ class BooleanFunction:
         for i, target in enumerate(p):
             src |= ((idx >> (target - 1)) & 1) << i
         return BooleanFunction.from_signs(self.signs()[src])
+
+
+def _sign_block(f: BooleanFunction, start: int, count: int) -> np.ndarray:
+    """f(start), ..., f(start + count - 1) as a fresh int8 array of +-1; 8 divides start."""
+    raw = f._words.view(np.uint8)[start // 8 :]
+    signs = np.unpackbits(raw, bitorder="little", count=count).view(np.int8)
+    signs *= 2  # in place: bits 0/1 become -1/+1 with no temporary
+    signs -= 1
+    return signs
+
+
+def _from_mask(mask: np.ndarray) -> BooleanFunction:
+    """The function that is +1 exactly where a boolean vector of length 2^n is True."""
+    n, packed = mask.size.bit_length() - 1, np.packbits(mask, bitorder="little")
+    del mask  # a caller's temporary mask goes before the table's two copies are made
+    return BooleanFunction(n, int.from_bytes(packed.tobytes(), "little"))
 
 
 def edge_ends(f: BooleanFunction, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -6,10 +6,12 @@ product of the coordinates in S. Division happens only at the reporting
 boundary, so every published value is an exact Fraction in lowest terms.
 
 With arity capped at 24, the fast paths are exact: the transform's stage k
-leaves every value within 2^k, so it runs stages 1-6 in int8, 7-14 in int16
-and the rest in int32, and the int32 spectrum stays within 2^24 < 2^31;
-squares are taken in int64 or float64, and level sums of squares stay within
-4^24 = 2^48 < 2^53.
+leaves every value within 2^k, so within each block of 2^18 entries it runs
+stages 1-6 in int8, 7-14 in int16 and 15-18 in int32, in the block's slab of
+the output; the stages above the block run in int32 on the whole output. The
+int32 spectrum stays within 2^24 < 2^31, and it plus one block (about 1 MiB)
+is the transform's peak: 65 MiB at n = 24. Squares are taken in int64 or
+float64, and level sums of squares stay within 4^24 = 2^48 < 2^53.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .core import (
     MAX_ARITY,
     ORACLE_MAX_ARITY,
     BooleanFunction,
+    _from_mask,
+    _sign_block,
     checked_int,
     checked_ints,
     edge_ends,
@@ -33,6 +37,13 @@ from .core import (
 # and crossover_scan; it must stay >= 4096, the crossover_scan default. It bounds
 # the work of a grid: one integer Horner pass over its G + 1 points per curve.
 MAX_GRID = 2**16
+
+# wht runs its low stages on blocks of 2^_BLOCK_BITS entries. At 2^18 a block's
+# int16 stages touch 512 KiB and its int32 slab 1 MiB, inside a 2 MiB per-core
+# L2 cache. Blocks of 2^16 to 2^19 timed alike within noise on analyze at
+# n = 20; a smaller block makes more of its ~50 numpy calls, a larger one
+# adds more to the peak.
+_BLOCK_BITS = 18
 
 __all__ = [
     "MAX_GRID",
@@ -166,19 +177,32 @@ def wht(f: BooleanFunction) -> FourierExpansion:
     Each array is as narrow as a bound proven in advance allows. Stage k
     maps two values within 2^(k-1) to values within 2^k and forms 2y, within
     2^k, on the way; so stages 1-6 fit int8 (2^6 <= 127), stages 7-14 int16
-    (2^14 <= 32767) and the rest int32 (2^24 < 2^31), which the spectrum
-    keeps. The 6 low-bit stages run on the transpose, where their inner runs
-    are 2^(n-6) entries long instead of 1..32; transposing back widens to
-    int16, and one more copy to int32 covers the stages past 14.
+    (2^14 <= 32767) and the rest int32 (2^24 < 2^31).
+
+    The stages for the low _BLOCK_BITS index bits (all n of them below
+    n = _BLOCK_BITS) run one block of 2^_BLOCK_BITS entries at a time. A
+    block's table bytes unpack to int8 +-1 and run stages 1-6 on the
+    transpose, where the inner runs are 1/64 of the block instead of 1..32
+    entries; transposing back widens to int16 for stages 7-14, and a cast
+    into the block's slab of the int32 output covers its stages from 15 on.
+    The stages above the block then run once over the whole output. So the
+    peak is the int32 spectrum plus one block, about 1 MiB, with no
+    full-length narrow copy beside it.
     """
-    low, mid = min(f.n, 6), min(f.n, 14)
-    vec = f.signs().reshape(-1, 1 << low).T.copy()  # int8
-    _stages(vec.reshape(-1), f.n - low, f.n)
-    vec = vec.T.astype(np.int16, order="C").reshape(-1)
-    _stages(vec, low, mid)
-    vec = vec.astype(np.int32)
-    _stages(vec, mid, f.n)
-    return FourierExpansion(f.n, vec)
+    n = f.n
+    bits = min(n, _BLOCK_BITS)
+    low, mid, block = min(bits, 6), min(bits, 14), 1 << bits
+    out = np.empty(f.size, dtype=np.int32)
+    for start in range(0, f.size, block):
+        vec = _sign_block(f, start, block).reshape(-1, 1 << low).T.copy()  # int8
+        _stages(vec.reshape(-1), bits - low, bits)
+        vec = vec.T.astype(np.int16, order="C").reshape(-1)
+        _stages(vec, low, mid)
+        slab = out[start : start + block]
+        slab[:] = vec
+        _stages(slab, mid, bits)
+    _stages(out, bits, n)
+    return FourierExpansion(n, out)
 
 
 def inverse_wht(e: FourierExpansion) -> BooleanFunction:
@@ -187,15 +211,19 @@ def inverse_wht(e: FourierExpansion) -> BooleanFunction:
     A stage's inverse (x, y) -> (x - y, x + y), up to the factor 2, is the
     forward stage with the pair swapped on both sides; reversing the index
     swaps every stage's pairs at once. So reverse, run the forward stages in
-    int64 and reverse back: each stage at most doubles the largest value, so
-    from entries within 2^n the partial sums stay within 4^n <= 2^48.
+    int64 and read the result reversed back: each stage at most doubles the
+    largest value, so from entries within 2^n the partial sums stay within
+    4^n <= 2^48. A spectrum's entries come out +-2^n exactly, and the +2^n
+    ones are the table's set bits. The peak is the int64 vector, whose
+    absolute values are taken in place, and one boolean mask: 9 bytes an entry.
     """
     vec = e.scaled[::-1].astype(np.int64, order="C")
     _stages(vec, 0, e.n)
-    quotient, remainder = np.divmod(vec[::-1], e.size)
-    if remainder.any() or not np.all(np.abs(quotient) == 1):
+    plus = vec[::-1] == e.size
+    np.abs(vec, out=vec)
+    if vec.min() != e.size or vec.max() != e.size:
         raise ValueError("coefficients are not the spectrum of a +-1 valued function")
-    return BooleanFunction.from_signs(quotient)
+    return _from_mask(plus)
 
 
 def character_matrix(n: int) -> np.ndarray:

@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     MAX_ARITY,
     BooleanFunction,
+    _from_mask,
     checked_int,
     checked_ints,
     edge_ends,
@@ -163,8 +164,7 @@ def materialize(spec: LtfSpec) -> BooleanFunction:
     sums = _weighted_sums(spec)
     if spec.tie_policy == TIE_REJECT and (tie := _first_tie(sums, spec.threshold)) is not None:
         raise TieEncountered(spec, tie)
-    packed = np.packbits(sums > spec.threshold, bitorder="little").tobytes()
-    return BooleanFunction(spec.n, int.from_bytes(packed, "little"))
+    return _from_mask(sums > spec.threshold)
 
 
 def majority(n: int) -> BooleanFunction:

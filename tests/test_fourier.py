@@ -1,5 +1,6 @@
 """Spectral quantities against independent brute-force references."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from boolfun import (
     wht,
 )
 
+from boolfun.fourier import _BLOCK_BITS
 from helpers import butterfly_oracle, level_weights_oracle, polynomial, random_function
 
 DICTATOR = BooleanFunction(1, 0b10)
@@ -130,6 +132,20 @@ def test_inverse_transform_roundtrip():
         assert inverse_wht(wht(f)) == f
 
 
+def test_inverse_transform_peak_is_at_most_10_bytes_per_entry():
+    # The int64 stages take 8 bytes an entry; the +-2^n test and the table
+    # may add at most 2 more.
+    f = random_function(20, np.random.default_rng(37))
+    e = wht(f)
+    tracemalloc.start()
+    try:
+        assert inverse_wht(e) == f
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * e.size
+
+
 def test_inverse_transform_rejects_non_spectra():
     rng = np.random.default_rng(33)
     for n in (1, 5, 12):
@@ -196,8 +212,9 @@ def stage_edge_function(case: str, n: int) -> BooleanFunction:
 
 
 # wht runs stages 1-6 in int8 and 7-14 in int16: n = 6 and 14 fill each width
-# to its bound 2^k, n = 7 and 15 cross into the next, and n = 24 is the cap.
-@pytest.mark.parametrize("n", [6, 7, 14, 15, 24])
+# to its bound 2^k, n = 7 and 15 cross into the next, n = _BLOCK_BITS fills one
+# block and one more bit runs a stage above it, and n = 24 is the cap.
+@pytest.mark.parametrize("n", [6, 7, 14, 15, _BLOCK_BITS, _BLOCK_BITS + 1, 24])
 @pytest.mark.parametrize("case", ["one", "minus_one", "parity"])
 def test_wht_at_every_width_edge_equals_int64_oracle(case, n):
     f = stage_edge_function(case, n)
@@ -206,6 +223,15 @@ def test_wht_at_every_width_edge_equals_int64_oracle(case, n):
     expected = butterfly_oracle(f)
     assert np.array_equal(e.scaled, expected)
     assert np.count_nonzero(expected) == 1 and np.abs(expected).max() == 1 << n
+
+
+@pytest.mark.parametrize("n", [_BLOCK_BITS + 1, _BLOCK_BITS + 2])
+def test_wht_past_one_block_equals_int64_oracle(n):
+    # A constant table's blocks are all equal and the parity's equal up to
+    # sign, so a block read or written one block off can still give the right
+    # spectrum; a random table's blocks all differ.
+    f = random_function(n, np.random.default_rng(38 + n))
+    assert np.array_equal(wht(f).scaled, butterfly_oracle(f))
 
 
 def test_wht_and_levels_match_int64_oracles_at_arity_cap():
