@@ -98,9 +98,8 @@ def _comparison_display(lhs: Fraction, rhs: Fraction) -> dict:
 def cmd_analyze(args) -> int:
     spec = parse_spec(args.spec, args.tie_policy)
     f = materialize(spec)
-    # Under reject, materialize has refused any tie. The scan's sums are freed
-    # before wht, and the spectrum before the document is built, so neither
-    # sits beside another large array at the n = 24 peak.
+    # Under reject, materialize has refused any tie. The spectrum is freed
+    # before the document is built, so the two never coexist at the n = 24 peak.
     tie_broken = spec.tie_policy == TIE_TO_MINUS_ONE and tie_witness(spec) is not None
     poly = stability_polynomial(wht(f))
     weight_fields = [fraction_fields(w) for w in poly.weights]

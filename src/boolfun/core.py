@@ -224,11 +224,14 @@ def _sign_block(f: BooleanFunction, start: int, count: int) -> np.ndarray:
     return signs
 
 
+def _from_packed(n: int, packed: np.ndarray) -> BooleanFunction:
+    """The arity-n function whose table is the little-endian uint8 bytes ``packed``."""
+    return BooleanFunction(n, int.from_bytes(packed, "little"))
+
+
 def _from_mask(mask: np.ndarray) -> BooleanFunction:
     """The function that is +1 exactly where a boolean vector of length 2^n is True."""
-    n, packed = mask.size.bit_length() - 1, np.packbits(mask, bitorder="little")
-    del mask  # a caller's temporary mask goes before the table's two copies are made
-    return BooleanFunction(n, int.from_bytes(packed.tobytes(), "little"))
+    return _from_packed(mask.size.bit_length() - 1, np.packbits(mask, bitorder="little"))
 
 
 def edge_ends(f: BooleanFunction, i: int) -> tuple[np.ndarray, np.ndarray]:

@@ -45,6 +45,12 @@ MAX_GRID = 2**16
 # adds more to the peak.
 _BLOCK_BITS = 18
 
+# stability_polynomial sums levels over rows of 2^_LEVEL_CHUNK_BITS squares. At
+# 2^14 its temporaries (the row's float64 squares and the intp level of each
+# mask) take 0.44 MiB; 2^16 took 1.56 MiB in the same time (46-48 ms at
+# n = 24), and 2^12 took 54-57 ms, its few numpy calls a row adding up.
+_LEVEL_CHUNK_BITS = 14
+
 __all__ = [
     "MAX_GRID",
     "FourierExpansion",
@@ -283,12 +289,13 @@ def degree_weight(e: FourierExpansion, k: int) -> Fraction:
 def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
     """4^n W_0..4^n W_n over 4^n; the weights sum to 1 by Parseval.
 
-    Row r of the spectrum holds the 2^16 masks (all 2^n when n < 16) whose
-    high bits are r; its float64 squares, summed by the level of the low
-    bits, add to the levels offset by popcount(r). Exact: every addend is an
-    integer and every sum is at most the Parseval total 4^n <= 2^48 < 2^53.
+    Row r of the spectrum holds the 2^_LEVEL_CHUNK_BITS masks (all 2^n when
+    n is smaller) whose high bits are r; its float64 squares, summed by the
+    level of the low bits, add to the levels offset by popcount(r). Exact:
+    every addend is an integer and every sum is at most the Parseval total
+    4^n <= 2^48 < 2^53.
     """
-    low_bits = min(e.n, 16)
+    low_bits = min(e.n, _LEVEL_CHUNK_BITS)
     low_levels = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32)).astype(np.intp)
     sums = np.zeros(e.n + 1)
     for row, chunk in enumerate(e.scaled.reshape(-1, 1 << low_bits)):

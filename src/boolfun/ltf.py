@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     MAX_ARITY,
     BooleanFunction,
-    _from_mask,
+    _from_packed,
     checked_int,
     checked_ints,
     edge_ends,
@@ -120,51 +120,79 @@ def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:
     return sums
 
 
-# Cap on 2^n * bits(|w|_1 + |theta|), the payload of a spec's 2^n sums, checked
-# before they exist. Fixed-width sums (< 2^62) always pass: 62 * 2^24 < 2^30. Python
-# int sums cost 2^n objects of that width: 2^62+1,1,...,1 at n = 24 passes and
-# peaks at 946 MiB, the worst case; n - 1 weights of 4,000 nines, which double
-# their peak with each arity (143 MiB at n = 16), are refused from n = 17 on.
+# Cap on 2^n * bits(|w|_1 + |theta|), checked before any sum exists. It bounds the work
+# of a spec's 2^n comparisons, and at n <= 16, where the low half holds every sum, their
+# payload (128 MiB). Fixed-width sums (< 2^62) always pass: 62 * 2^24 < 2^30. Past that
+# the sums are Python ints: 2^62+1,1,...,1 at n = 24 passes, the most comparisons (a
+# 0.5-0.7 s, 40 MiB `table` command); n - 1 weights of 4,000 nines, which double their
+# peak with each arity (143 MiB at n = 16), are refused from n = 17 on.
 MAX_SUM_BITS = 2**30
 
 # Sum dtypes by the bound B = |w|_1 + |theta|: the first whose limit exceeds B.
 _SUM_WIDTHS = ((2**14, np.int16), (2**30, np.int32), (2**62, np.int64))
 
+# The low half of the sums spans the first 2^_LOW_BITS indices, one row of the scan.
+# At n = 24 materialize took 30, 14, 10 and 9 ms with rows of 2^12, 2^14, 2^16 and
+# 2^18: short rows pay their numpy calls many times. At n = 20 its tracemalloc peak
+# is 0.38 bytes a table entry up to 2^16 and 0.91 at 2^18, where a row outweighs the table.
+_LOW_BITS = 16
 
-def _weighted_sums(spec: LtfSpec) -> np.ndarray:
-    """w . x for every input index of the spec, by ``_sums_by_doubling``.
 
-    Every partial sum of the doubling, and theta itself, lies within
-    +-B, B = |w|_1 + |theta|. So the sums run in int16 if B < 2^14, int32 if
-    B < 2^30, int64 if B < 2^62, each limit half its dtype's maximum, as the
-    int64 cut-off always was, and in Python integers past that.
+def _weighted_sums(spec: LtfSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high): w . x at index h * 2^b + l is high[h] + low[l], b = min(n, 16).
+
+    ``low`` holds the 2^b sums of the first b weights and ``high`` the
+    2^(n-b) sums of the rest (one zero when n <= 16), both by
+    ``_sums_by_doubling``, so neither is a 2^n array. Every partial sum of
+    the doubling, theta itself and theta - high[h] lie within +-B,
+    B = |w|_1 + |theta|. So the halves run in int16 if B < 2^14, int32 if
+    B < 2^30, int64 if B < 2^62, each limit half its dtype's maximum, and in
+    Python integers past that.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
     checked_int((1 << spec.n) * bound.bit_length(), "2^n * bits(|w|_1 + |theta|)", hi=MAX_SUM_BITS)
     dtype = next((dtype for limit, dtype in _SUM_WIDTHS if bound < limit), object)
-    return _sums_by_doubling(np.array(spec.weights, dtype=dtype))
+    weights = np.array(spec.weights, dtype=dtype)
+    b = min(spec.n, _LOW_BITS)
+    return _sums_by_doubling(weights[:b]), _sums_by_doubling(weights[b:])
 
 
-def _first_tie(sums: np.ndarray, theta: int) -> int | None:
-    """Smallest input index whose weighted sum equals theta, or None."""
-    hits = np.nonzero(sums == theta)[0]
-    return int(hits[0]) if hits.size else None
+def _scan(spec: LtfSpec, *, table: bool, ties: bool) -> tuple[np.ndarray | None, int | None]:
+    """(packed table bytes or None, first tie index or None), row by row.
+
+    Row h compares ``low`` with theta - high[h]: ``==`` finds a tie, and the
+    first one found is the smallest index because rows run in index order;
+    ``>`` gives the row's table bits, packed into one preallocated buffer.
+    With ``ties`` the scan stops at the first tie, with no table.
+    """
+    low, high = _weighted_sums(spec)
+    packed = np.empty(max(1, (1 << spec.n) // 8), dtype=np.uint8) if table else None
+    step = max(1, low.size // 8)
+    for h, s in enumerate(high):
+        cut = spec.threshold - s
+        if ties and (hits := np.flatnonzero(low == cut)).size:
+            return None, h * low.size + int(hits[0])
+        if table:
+            packed[h * step : (h + 1) * step] = np.packbits(low > cut, bitorder="little")
+    return packed, None
 
 
 def tie_witness(spec: LtfSpec) -> int | None:
     """Smallest input index with w . x = theta, or None if tie-free."""
-    return _first_tie(_weighted_sums(spec), spec.threshold)
+    return _scan(spec, table=False, ties=True)[1]
 
 
 def materialize(spec: LtfSpec) -> BooleanFunction:
     """Truth table of sign(w . x - theta) under the spec's tie policy.
 
-    Only ``reject`` scans for a tie, to refuse it; ``tie_witness`` finds one.
+    One row scan over the split sums of ``_weighted_sums`` writes the table
+    bytes, 2^(b-3) a row in index order, with no 2^n sums or mask. Only
+    ``reject`` scans for a tie, to refuse it; ``tie_witness`` finds one.
     """
-    sums = _weighted_sums(spec)
-    if spec.tie_policy == TIE_REJECT and (tie := _first_tie(sums, spec.threshold)) is not None:
+    packed, tie = _scan(spec, table=True, ties=spec.tie_policy == TIE_REJECT)
+    if tie is not None:
         raise TieEncountered(spec, tie)
-    return _from_mask(sums > spec.threshold)
+    return _from_packed(spec.n, packed)
 
 
 def majority(n: int) -> BooleanFunction:

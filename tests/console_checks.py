@@ -66,17 +66,21 @@ ROWS = [
     # n = 9 at SEARCH_MAX_VECTORS, int16 sums up to 135; it read 256 MiB through json.dumps.
     Row(("search", "9", "15", "--out", "out.json"), peak_mib=160, timeout=300,
         out="912a370a3b597e8f6f5e7a31cda38f377bd819a07d6d2f7822eac1c2d47831d4"),
-    # n = 24, the arity cap: the peaks (112/114 MiB) are the int32 spectrum and one 2^18-entry
-    # block of wht's narrow stages; the sums, the spectrum and the document never coexist.
-    Row(("analyze", N24), peak_mib=125, timeout=300,
+    # n = 24, the arity cap: the peaks (98-102 MiB) are the int32 spectrum and one 2^18-entry
+    # block of wht's narrow stages; the table is built and tie-scanned row by row, with no 2^n
+    # sums or mask, so it adds no large array before or beside them.
+    Row(("analyze", N24), peak_mib=110, timeout=300,
         stdout="e535f6b02ffc06da6a3be76048fafa823a58971b62a0faf53684aed6765a3dfb"),
-    # 24..1 has ties (tie_broken: true). tie_witness's sums go before wht; held beside the
-    # spectrum they read 147 MiB, against 114.
+    # 24..1 has ties (tie_broken: true), the first at row 0 of the scan.
     Row(("analyze", ",".join(map(str, range(24, 0, -1))), "--tie-policy", "map_to_minus_one"),
-        peak_mib=125, timeout=300,
+        peak_mib=110, timeout=300,
         stdout="638897752442d9880131f0bf6e794804085c1cef177aa4ce3219ab01483641d7"),
     Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65536",
-         "--out", "out.csv"), peak_mib=125, timeout=120),
+         "--out", "out.csv"), peak_mib=110, timeout=120),
+    # n = 24 in Python-int sums, the most comparisons MAX_SUM_BITS admits; 40 MiB, as its sums
+    # are two half-length vectors.
+    Row(("table", ",".join(["4611686018427387905"] + ["1"] * 23)), peak_mib=150, timeout=30,
+        stdout="5bebfd2d7bf89fad13f91a178848719342d56d4415b25a56644eacafe3dfe6b4"),
     Row(("search", "5", "2", "--parallel", "33", "--out", "out.json"), code=2),  # > MAX_WORKERS
     Row(("compare", "2,2,1,1,1", "1,1,1,1,1", "--grid", "65537", "--out", "out.csv"), code=2),
     Row(("table", ",".join(["9" * 4000] * 24)), code=2, timeout=30),  # > MAX_SUM_BITS, no sums

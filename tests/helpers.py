@@ -62,7 +62,8 @@ def weighted_sums_oracle(spec: LtfSpec) -> np.ndarray:
     followed by the +w half (bit set). It keeps its own dtype rule, int64
     or Python integers once |w|_1 + |theta| reaches 2^62, apart from the
     library's int16/int32/int64 choice: the reference whose values the
-    in-place ``ltf._weighted_sums`` must equal exactly, at any width.
+    two halves of ``ltf._weighted_sums``, composed, must equal exactly, at
+    any width.
     """
     bound = sum(abs(w) for w in spec.weights) + abs(spec.threshold)
     sums = np.zeros(1, dtype=np.int64 if bound < 2**62 else object)
@@ -75,8 +76,8 @@ def table_oracle(sums: np.ndarray, theta: int) -> tuple[BooleanFunction, int | N
     """(table with ties sent to -1, first tie index or None) from weighted sums.
 
     The table goes through an int8 +-1 vector and ``from_signs``; the
-    reference for ``ltf.materialize``, which packs the comparison straight
-    to bits, and for ``tie_witness``.
+    reference for ``ltf.materialize``, which packs each row's comparison
+    straight to bits, and for ``tie_witness``.
     """
     hits = np.flatnonzero(sums == theta)
     signs = np.where(sums > theta, 1, -1).astype(np.int8)

@@ -27,7 +27,7 @@ from boolfun import (
     wht,
 )
 
-from boolfun.fourier import _BLOCK_BITS
+from boolfun.fourier import _BLOCK_BITS, _LEVEL_CHUNK_BITS
 from helpers import butterfly_oracle, level_weights_oracle, polynomial, random_function
 
 DICTATOR = BooleanFunction(1, 0b10)
@@ -371,6 +371,25 @@ def test_stability_polynomial_known_functions():
         Fraction(0),
         Fraction(1, 16),
     )
+
+
+@pytest.mark.parametrize("n", [_LEVEL_CHUNK_BITS, _LEVEL_CHUNK_BITS + 1])
+def test_level_sums_equal_int64_oracle_at_the_chunk_edge(n):
+    # One row of 2^14 squares, then two: row 1's levels sit one above row 0's.
+    e = wht(random_function(n, np.random.default_rng(40 + n)))
+    assert stability_polynomial(e).weights == level_weights_oracle(e)
+
+
+def test_stability_polynomial_peak_is_under_half_a_mib_above_entry():
+    # One row's float64 squares and intp levels, 2^14 entries each: 0.44 MiB.
+    e = wht(random_function(20, np.random.default_rng(39)))
+    tracemalloc.start()
+    try:
+        assert sum(stability_polynomial(e).weights) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**19
 
 
 def test_stability_weights_sum_to_one():

@@ -1,5 +1,6 @@
 """Threshold-function materialization, majority, and structural predicates."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -61,13 +62,23 @@ def test_tie_mapped_to_minus_one():
     assert f.evaluate(signs_to_index((1, 1, 1, 1, 1))) == 1
 
 
+def split_sums(spec):
+    """The spec's two half-length sum vectors, both checked to share one dtype,
+    and the 2^n sums they compose: high[h] + low[l] at index h * 2^b + l."""
+    low, high = ltf._weighted_sums(spec)
+    assert low.dtype == high.dtype
+    assert low.size == 1 << min(spec.n, ltf._LOW_BITS) and low.size * high.size == 1 << spec.n
+    return low.dtype, np.add.outer(high, low).reshape(-1)
+
+
 def assert_matches_oracle(weights, theta, dtype):
     """Sums, first tie and table equal the concatenation oracle's, under both
-    tie policies; reject raises at the oracle's first tie. The sums have the
-    stated ``dtype``; the oracle stays int64 or object whatever it is."""
+    tie policies; reject raises at the oracle's first tie. Both halves of the
+    sums have the stated ``dtype``, and every composed sum equals the
+    oracle's exactly; the oracle stays int64 or object whatever it is."""
     expected_sums = weighted_sums_oracle(LtfSpec(weights, theta))
-    sums = ltf._weighted_sums(LtfSpec(weights, theta))
-    assert sums.dtype == dtype and np.array_equal(sums, expected_sums)
+    sums_dtype, sums = split_sums(LtfSpec(weights, theta))
+    assert sums_dtype == dtype and np.array_equal(sums, expected_sums)
     del sums
     expected, tie = table_oracle(expected_sums, theta)
     del expected_sums
@@ -82,10 +93,11 @@ def assert_matches_oracle(weights, theta, dtype):
             assert materialize(spec) == expected
 
 
-@pytest.mark.parametrize("n, count", [(1, 12), (5, 12), (13, 4), (24, 2)])
+@pytest.mark.parametrize("n, count", [(1, 12), (5, 12), (13, 4), (16, 4), (17, 4), (24, 2)])
 def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
     # Every w . x has the parity of sum(w). theta shares it on even k, so
     # ties can occur, and differs on odd k, so none can: both are crossed.
+    # The scan's rows are 2^16 entries: n = 16 is one row, n = 17 two.
     rng = np.random.default_rng(n)
     block = []
     for k in range(count):
@@ -108,10 +120,10 @@ def test_in_place_sums_and_packed_table_equal_concatenation_oracle(n, count):
 def test_huge_weights_take_the_object_path():
     # |w|_1 + |theta| >= 2^62 switches the sums to Python integers.
     spec = LtfSpec((2**62 + 1, 3, 1), -2)
-    assert ltf._weighted_sums(spec).dtype == object
+    assert split_sums(spec)[0] == object
     assert materialize(spec).to_hex() == "aa"  # f = x_1
     spec = LtfSpec((1, 1, 1), 2**62 + 1, TIE_TO_MINUS_ONE)
-    assert ltf._weighted_sums(spec).dtype == object
+    assert split_sums(spec)[0] == object
     assert materialize(spec).to_hex() == "00"
     rng = np.random.default_rng(62)
     for k in range(6):
@@ -143,6 +155,47 @@ def test_weighted_sums_take_the_stated_width_at_each_edge(bound, dtype):
     half = bound // 2
     for theta in (half, -half):
         assert_matches_oracle((bound - half - 2, 1, -1), theta, dtype)
+
+
+@pytest.mark.parametrize(
+    "weights, theta, tie",
+    [
+        # Row 0 (x_17 = -1) would need sum(x_1..x_16) = 18, over the 16 it
+        # reaches; row 1 needs -2, first met at seven +1s, l = 127.
+        ((1,) * 16 + (10,), 8, (1 << 16) + 127),
+        # Row 0 would need 18 again; row 1 needs -16, all -1: its first entry.
+        ((1,) * 16 + (17,), 1, 1 << 16),
+    ],
+    ids=["inside row 1", "first entry of row 1"],
+)
+def test_ties_only_past_the_first_row_are_found(weights, theta, tie):
+    assert tie_witness(LtfSpec(weights, theta)) == tie
+    assert_matches_oracle(weights, theta, np.int16)  # reject raises at the same index
+
+
+def test_object_sums_at_the_row_split():
+    # Two rows of Python-int sums; theta = w . x for one x in row 1 (x_17 = +1)
+    # on even k, so that case ties, and odd k cannot.
+    rng = np.random.default_rng(17)
+    for k in range(2):
+        weights = (2**62 + 1,) + tuple(int(x) for x in rng.integers(-3, 4, size=16))
+        x = np.append(rng.choice([-1, 1], size=16), 1)
+        theta = sum(w * int(s) for w, s in zip(weights, x)) + k
+        assert_matches_oracle(weights, theta, object)
+
+
+def test_materialize_peak_is_under_three_quarters_of_a_byte_per_entry():
+    # The table is 1/8 byte an entry and the int.from_bytes copies two more
+    # eighths; the rest is one row of sums and comparisons, not a 2^n array.
+    spec = LtfSpec(tuple(range(19, 0, -1)) + (21,))  # |w|_1 = 211 is odd: tie-free
+    materialize(spec)
+    tracemalloc.start()
+    try:
+        materialize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * (1 << spec.n)
 
 
 def test_majority_basics():
