@@ -246,18 +246,23 @@ def _search_listing(found) -> list[str]:
     if not found:
         return ["[]"]
     parts = ["[\n"]
-    majority = None
+    majority = w1 = margin = None
     for r in found:
-        # A search shares one w1_majority object, so its block is built once.
+        # A search shares one w1_majority object, and one w1/margin pair per
+        # W_1 value, so each block is built once per run of one object.
         if r.w1_majority is not majority:
             majority, majority_block = r.w1_majority, _fraction_block(r.w1_majority)
+        if r.w1 is not w1:
+            w1, w1_block = r.w1, _fraction_block(r.w1)
+        if r.margin is not margin:
+            margin, margin_block = r.margin, _fraction_block(r.margin)
         weights = ",\n          ".join(map(str, r.spec.weights))
         parts += (
             f'      {{\n        "flags": {_FLAGS_BLOCK},\n'
-            f'        "margin": {_fraction_block(r.margin)},\n'
+            f'        "margin": {margin_block},\n'
             f'        "spec": "{render_spec(r.spec)}",\n'
             f'        "table_hex": "{r.table_hex}",\n'
-            f'        "w1": {_fraction_block(r.w1)},\n'
+            f'        "w1": {w1_block},\n'
             f'        "w1_majority": {majority_block},\n'
             f'        "weights": [\n          {weights}\n        ]\n      }}',
             ",\n",

@@ -100,7 +100,7 @@ def parse_spec(text: str, tie_policy: str = TIE_REJECT) -> LtfSpec:
 
 
 def render_spec(spec: LtfSpec) -> str:
-    return ",".join(str(w) for w in spec.weights) + f"@{spec.threshold}"
+    return ",".join(map(str, spec.weights)) + f"@{spec.threshold}"
 
 
 def _sums_by_doubling(weights: np.ndarray) -> np.ndarray:

@@ -415,25 +415,36 @@ def search_result_lists(draw):
     """SearchResult lists of length 0, 1 or many, at n from 1 to 9.
 
     A search shares one w1_majority object across its list, as here when
-    ``shared`` is drawn; otherwise each entry gets its own majority value. A
-    margin of one unit at n = 9 is 4^-9, whose float repr has an exponent.
+    ``shared`` is drawn; otherwise each entry gets its own majority value.
+    A search also shares one w1/margin pair per W_1 value. Here an entry of
+    a shared-majority list may take a pair from a small pool, so one pair
+    recurs both in adjacent entries and apart, with other values between.
+    A margin of one unit at n = 9 is 4^-9, whose float repr has an exponent.
     """
     n = draw(st.integers(1, 9))
     scale = 4**n
     shared = draw(st.booleans())
     shared_bar = draw(st.integers(1, scale))
     shared_majority = Fraction(shared_bar, scale)
+    pool = [
+        (Fraction(w1_scaled, scale), Fraction(shared_bar - w1_scaled, scale))
+        for w1_scaled in draw(st.lists(st.integers(0, shared_bar - 1), min_size=1, max_size=3))
+    ]
     table_bytes = max(1, (1 << n) // 8)
 
     def entry():
         bar = shared_bar if shared else draw(st.integers(1, scale))
-        w1_scaled = draw(st.integers(0, bar - 1))
+        if shared and draw(st.booleans()):
+            w1, margin = pool[draw(st.integers(0, len(pool) - 1))]
+        else:
+            w1_scaled = draw(st.integers(0, bar - 1))
+            w1, margin = Fraction(w1_scaled, scale), Fraction(bar - w1_scaled, scale)
         weights = draw(st.lists(st.integers(1, 15), min_size=n, max_size=n))
         return SearchResult(
             spec=LtfSpec(tuple(weights)),
-            w1=Fraction(w1_scaled, scale),
+            w1=w1,
             w1_majority=shared_majority if shared else Fraction(bar, scale),
-            margin=Fraction(bar - w1_scaled, scale),
+            margin=margin,
             table_hex=draw(st.binary(min_size=table_bytes, max_size=table_bytes)).hex(),
         )
 

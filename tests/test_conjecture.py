@@ -543,9 +543,11 @@ def test_screen_block_rows_match_table_route():
     # and even sums give tie rows, which the unbiased filter alone must drop;
     # a bar above 4^n keeps every unbiased row. (9, 15) and (3, 180) are the
     # SEARCH_MAX_VECTORS edges at n = 9 and n = 3 of the int16 sums; the
-    # appended rows reach |w . x| = n * bound, 540 at (3, 180).
+    # appended rows reach |w . x| = n * bound, 540 at (3, 180). n = 1 and 2
+    # are the half cube's edges: one entry and no lower coordinate, then one
+    # lower coordinate; zero weights and |w_1| = |w_2| give their tie rows.
     rng = np.random.default_rng(7)
-    for n, bound in ((3, 4), (5, 4), (7, 4), (9, 15), (3, 180)):
+    for n, bound in ((1, 3), (2, 3), (3, 4), (5, 4), (7, 4), (9, 15), (3, 180)):
         block = [
             tuple(int(w) for w in rng.integers(-bound, bound + 1, size=n))
             for _ in range(300)
@@ -563,6 +565,17 @@ def test_screen_block_rows_match_table_route():
         assert rows == expected
         assert all(type(row[1]) is int for row in rows)
         assert any(tie_witness(LtfSpec(w)) is not None for w in block)
+
+
+def test_search_rows_of_one_w1_share_one_value():
+    # One w1/margin pair is built per distinct W_1 value, and the listing
+    # renders each object once.
+    results = search_counterexamples(9, 8)
+    first = {}
+    for r in results:
+        seen = first.setdefault(r.w1, r)
+        assert r.w1 is seen.w1 and r.margin is seen.margin
+    assert (len(results), len(first)) == (1836, 122)
 
 
 def test_screen_block_with_no_balanced_row():
