@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
         "weights": list(spec.weights),
         "threshold": spec.threshold,
         "tie_broken": tie_broken,
-        "table_hex": f.to_hex(),
+        "table_hex": _SLOT,
         "ones": f.ones(),
         "bias": fraction_fields(f.bias()),
         "unbiased": is_unbiased(f),
@@ -122,7 +122,9 @@ def cmd_analyze(args) -> int:
         },
     }
     inputs = {"spec": args.spec, "tie_policy": args.tie_policy}
-    print(render_document(_document("analyze", inputs, results)))
+    # The hex is only [0-9a-f], so it is written as is, not JSON-encoded.
+    hex_parts = ('"', f.to_hex(), '"')
+    sys.stdout.writelines(_spliced(_document("analyze", inputs, results), "table_hex", hex_parts))
     return EXIT_OK
 
 
@@ -271,20 +273,22 @@ def _search_listing(found) -> list[str]:
     return parts
 
 
-# Stands in for the counterexample list while the rest of a document renders.
-_LIST_SLOT = "<counterexamples>"
-# A quote inside a rendered JSON string is escaped, so '": ' only ends a key:
-# the slot with its key occurs once, whatever the --out path holds.
-_LIST_KEY = '"counterexamples": '
-_SLOT_TEXT = _LIST_KEY + json.dumps(_LIST_SLOT)
+# Stands in for one value, such as the counterexample list, while the rest of
+# a document renders.
+_SLOT = "<slot>"
 
 
-def _spliced(doc: dict, listing: list[str]) -> tuple[str, ...]:
-    """``doc`` rendered with the ``listing`` parts in its list slot, ending in a newline."""
-    parts = render_document(doc).split(_SLOT_TEXT)
-    if len(parts) != 2:
-        raise RuntimeError(f"expected one list slot in the document, found {len(parts) - 1}")
-    return (parts[0] + _LIST_KEY, *listing, parts[1] + "\n")
+def _spliced(doc: dict, key: str, parts) -> tuple[str, ...]:
+    """``doc`` rendered with ``parts`` as the value of its ``key`` slot, ending in a newline.
+
+    A quote inside a rendered JSON string is escaped, so '"key": ' only ends
+    a key: the slot with its key occurs once, whatever an input string holds.
+    """
+    key_text = json.dumps(key) + ": "
+    halves = render_document(doc).split(key_text + json.dumps(_SLOT))
+    if len(halves) != 2:
+        raise RuntimeError(f"expected one {key} slot in the document, found {len(halves) - 1}")
+    return (halves[0] + key_text, *parts, halves[1] + "\n")
 
 
 def cmd_search(args) -> int:
@@ -294,13 +298,15 @@ def cmd_search(args) -> int:
     # the one listing is spliced into each.
     listing = _search_listing(found)
     inputs = {"n": args.n, "max_weight": args.max_weight, "require_tie_free": not args.allow_ties}
-    results = {"count": len(found), "counterexamples": _LIST_SLOT}
+    results = {"count": len(found), "counterexamples": _SLOT}
     # The results file deliberately omits --parallel: it does not change the
     # search, and the file is contractually byte-identical across it.
-    _write_out(args.out, _spliced(_document("search", inputs, results), listing))
+    _write_out(args.out, _spliced(_document("search", inputs, results), "counterexamples", listing))
     inputs.update(parallel=args.parallel, out=args.out)
     results["out"] = args.out
-    sys.stdout.writelines(_spliced(_document("search", inputs, results), listing))
+    sys.stdout.writelines(
+        _spliced(_document("search", inputs, results), "counterexamples", listing)
+    )
     return EXIT_OK
 
 

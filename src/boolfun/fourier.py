@@ -8,15 +8,20 @@ boundary, so every published value is an exact Fraction in lowest terms.
 With arity capped at 24, the fast paths are exact: the transform's stage k
 leaves every value within 2^k, so within each block of 2^18 entries it runs
 stages 1-6 in int8, 7-14 in int16 and 15-18 in int32, in the block's slab of
-the output; the stages above the block run in int32 on the whole output. The
-int32 spectrum stays within 2^24 < 2^31, and it plus one block (about 1 MiB)
-is the transform's peak: 65 MiB at n = 24. Squares are taken in int64 or
-float64, and level sums of squares stay within 4^24 = 2^48 < 2^53.
+the output; the stages above the block run in int32 on the whole output. A
+stage's cost is numpy's loop over its rows, not its arithmetic, so each
+block's stages run where their rows are long: the block's 18 index bits are
+three 6-bit digits, and each digit's stages run while a copy has rotated it to
+the outside. The int32 spectrum stays within 2^24 < 2^31, and it plus
+512 KiB is the transform's peak: 64.5 MiB at n = 24. Every
+expansion sums its squares by level once, on construction, in float64, and
+is refused unless they total 4^n (Parseval); a true spectrum's level sums
+stay within 4^24 = 2^48 < 2^53, so they are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -40,16 +45,20 @@ MAX_GRID = 2**16
 
 # wht runs its low stages on blocks of 2^_BLOCK_BITS entries. At 2^18 a block's
 # int16 stages touch 512 KiB and its int32 slab 1 MiB, inside a 2 MiB per-core
-# L2 cache. Blocks of 2^16 to 2^19 timed alike within noise on analyze at
-# n = 20; a smaller block makes more of its ~50 numpy calls, a larger one
-# adds more to the peak.
+# L2 cache, and its index bits are three 6-bit digits. On one 2^18-entry int16
+# block, a stage on index bit 6 (rows of 64 entries) took 180 us, bit 8
+# 135 us, bit 10 110 us and bits 12 and up about 30 us: numpy's per-row loop,
+# not the arithmetic, sets the cost, so each digit's stages run while a copy
+# has rotated it to the outside, onto bits 12-17.
 _BLOCK_BITS = 18
 
-# stability_polynomial sums levels over rows of 2^_LEVEL_CHUNK_BITS squares. At
-# 2^14 its temporaries (the row's float64 squares and the intp level of each
-# mask) take 0.44 MiB; 2^16 took 1.56 MiB in the same time (46-48 ms at
-# n = 24), and 2^12 took 54-57 ms, its few numpy calls a row adding up.
-_LEVEL_CHUNK_BITS = 14
+# A spectrum's level sums add rows of 2^_LEVEL_CHUNK_BITS squares into one
+# accumulator row per popcount of the row index, then make one bincount per
+# accumulator row. At 2^12 the accumulator, one row's float64 squares and the
+# intp level of each low mask take 0.38 MiB at n = 20; 2^14 rows need a
+# 0.9 MiB accumulator. A bincount per row of 2^14 took 2.7 ms at n = 20 and
+# 45 ms at n = 24; this takes 1.5 and 25 ms.
+_LEVEL_CHUNK_BITS = 12
 
 __all__ = [
     "MAX_GRID",
@@ -75,19 +84,28 @@ class FourierExpansion:
 
     n: int
     scaled: np.ndarray  # scaled[S] = 2^n * fhat(S); int32 from wht, |.| <= 2^24
+    # level_sums[k] = 4^n W_k, the sum of scaled[S]^2 over |S| = k.
+    level_sums: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
-        # Checked with no copy: wht's int32 spectrum sets the n = 24 peak. A +-1
-        # function has |2^n fhat(S)| <= 2^n, so nothing past that is a spectrum,
-        # and inside it every square and inverse_wht partial sum is within 4^n.
+        # Checked with no copy: wht's int32 spectrum sets the n = 24 peak.
         if not (isinstance(self.scaled, np.ndarray) and np.issubdtype(self.scaled.dtype, np.integer)):
             raise ValueError("scaled coefficients must be a numpy array of an integer dtype")
         if self.scaled.shape != (1 << self.n,):
             raise ValueError("coefficient vector length must be 2^n")
-        bound = 1 << self.n
-        if int(self.scaled.min()) < -bound or int(self.scaled.max()) > bound:
-            raise ValueError(f"scaled coefficients must lie within +-2^{self.n}")
+        # Exact in float64 for any integer vector: every addend is a nonnegative
+        # square and rounding to nearest is monotone, so a level whose exact sum
+        # is at most 2^53 is summed exactly, and one past 2^53 is computed as at
+        # least 2^53 > 4^24. So the total equals 4^n only for a vector whose
+        # squares truly sum to 4^n, which bounds every entry by 2^n: every
+        # square and inverse_wht partial sum is then within 4^n.
+        sums = _level_sums(self.scaled, self.n)
+        if sum(sums) != 1 << 2 * self.n:
+            raise ValueError(
+                f"scaled coefficients must be a spectrum: squares summing to 4^{self.n} (Parseval)"
+            )
+        object.__setattr__(self, "level_sums", sums)
         self.scaled.setflags(write=False)
 
     @property
@@ -186,26 +204,42 @@ def wht(f: BooleanFunction) -> FourierExpansion:
     (2^14 <= 32767) and the rest int32 (2^24 < 2^31).
 
     The stages for the low _BLOCK_BITS index bits (all n of them below
-    n = _BLOCK_BITS) run one block of 2^_BLOCK_BITS entries at a time. A
-    block's table bytes unpack to int8 +-1 and run stages 1-6 on the
-    transpose, where the inner runs are 1/64 of the block instead of 1..32
-    entries; transposing back widens to int16 for stages 7-14, and a cast
-    into the block's slab of the int32 output covers its stages from 15 on.
-    The stages above the block then run once over the whole output. So the
-    peak is the int32 spectrum plus one block, about 1 MiB, with no
-    full-length narrow copy beside it.
+    n = _BLOCK_BITS) run one block of 2^_BLOCK_BITS entries at a time. The
+    block's bits are digits a (bits 0-5), b (6-11) and c (12-17), c and then
+    b shorter or empty below n = 18, so in natural order it has shape
+    (c, b, a). A stage on a low bit loops over short rows, so each rotation
+    transpose(2, 0, 1) moves the inner digit outside, and its copy also
+    widens: the table bytes unpack to int8 +-1 and rotate to (a, c, b) for
+    stages 1-6; a cast to int16, written into the first half of the block's
+    slab of the int32 output, rotates to (b, a, c) for stages 7-12; a fresh
+    copy back to natural (c, b, a) runs stages 13-14; and a cast from it into
+    the slab runs the block's stages from 15 on. That copy must not be a
+    view: numpy does not buffer a cast from an int16 view of the slab into
+    the slab, so it would overwrite entries before reading them. The stages
+    above the block then run once over the whole output. Each block array is
+    dropped once the next exists, so the peak is the int32 spectrum plus
+    512 KiB, with no full-length narrow copy beside it.
     """
     n = f.n
     bits = min(n, _BLOCK_BITS)
-    low, mid, block = min(bits, 6), min(bits, 14), 1 << bits
+    a = min(bits, 6)
+    b = min(bits - a, 6)
+    c = bits - a - b
+    mid, block = min(bits, 14), 1 << bits
     out = np.empty(f.size, dtype=np.int32)
     for start in range(0, f.size, block):
-        vec = _sign_block(f, start, block).reshape(-1, 1 << low).T.copy()  # int8
-        _stages(vec.reshape(-1), bits - low, bits)
-        vec = vec.T.astype(np.int16, order="C").reshape(-1)
-        _stages(vec, low, mid)
         slab = out[start : start + block]
+        vec = _sign_block(f, start, block).reshape(1 << c, 1 << b, 1 << a)
+        vec = np.ascontiguousarray(vec.transpose(2, 0, 1))  # int8 (a, c, b)
+        _stages(vec.reshape(-1), b + c, bits)
+        wide = slab.view(np.int16)[:block].reshape(1 << b, 1 << a, 1 << c)
+        np.copyto(wide, vec.transpose(2, 0, 1))  # int16 (b, a, c), in the slab's bytes
+        del vec
+        _stages(wide.reshape(-1), a + c, bits)
+        vec = wide.transpose(2, 0, 1).copy().reshape(-1)  # natural (c, b, a), never a view
+        _stages(vec, a + b, mid)
         slab[:] = vec
+        del vec
         _stages(slab, mid, bits)
     _stages(out, bits, n)
     return FourierExpansion(n, out)
@@ -286,23 +320,34 @@ def degree_weight(e: FourierExpansion, k: int) -> Fraction:
     return stability_polynomial(e).weights[checked_int(k, "degree", 0, e.n)]
 
 
+def _level_sums(scaled: np.ndarray, n: int) -> tuple[int, ...]:
+    """(sum of scaled[S]^2 over |S| = k for k = 0..n), summed in float64.
+
+    Row r of the spectrum holds the 2^_LEVEL_CHUNK_BITS masks (all 2^n when
+    n is smaller) whose high bits are r. Its float64 squares add into
+    accumulator row popcount(r); then each accumulator row, summed by the
+    level of the low bits, adds to the levels offset by its high popcount.
+    """
+    low_bits = min(n, _LEVEL_CHUNK_BITS)
+    low_levels = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32)).astype(np.intp)
+    squares = np.empty(1 << low_bits)
+    by_high = np.zeros((n - low_bits + 1, 1 << low_bits))
+    for row, chunk in enumerate(scaled.reshape(-1, 1 << low_bits)):
+        np.square(chunk, out=squares, dtype=np.float64)
+        by_high[row.bit_count()] += squares
+    sums = np.zeros(n + 1)
+    for high, part in enumerate(by_high):
+        sums[high : high + low_bits + 1] += np.bincount(low_levels, weights=part)
+    return tuple(int(total) for total in sums)
+
+
 def stability_polynomial(e: FourierExpansion) -> StabilityPolynomial:
     """4^n W_0..4^n W_n over 4^n; the weights sum to 1 by Parseval.
 
-    Row r of the spectrum holds the 2^_LEVEL_CHUNK_BITS masks (all 2^n when
-    n is smaller) whose high bits are r; its float64 squares, summed by the
-    level of the low bits, add to the levels offset by popcount(r). Exact:
-    every addend is an integer and every sum is at most the Parseval total
-    4^n <= 2^48 < 2^53.
+    The level sums were taken, and checked to total 4^n, when the expansion
+    was built; every sum is an integer at most 4^n <= 2^48 < 2^53, so exact.
     """
-    low_bits = min(e.n, _LEVEL_CHUNK_BITS)
-    low_levels = np.bitwise_count(np.arange(1 << low_bits, dtype=np.uint32)).astype(np.intp)
-    sums = np.zeros(e.n + 1)
-    for row, chunk in enumerate(e.scaled.reshape(-1, 1 << low_bits)):
-        squares = np.square(chunk, dtype=np.float64)
-        high = row.bit_count()
-        sums[high : high + low_bits + 1] += np.bincount(low_levels, weights=squares)
-    return StabilityPolynomial(tuple(int(total) for total in sums), e.size * e.size)
+    return StabilityPolynomial(e.level_sums, e.size * e.size)
 
 
 def correlation_by_distance(f: BooleanFunction, g: BooleanFunction) -> list[int]:

@@ -384,7 +384,7 @@ def test_search_parallel_files_byte_identical(tmp_path, capsys):
 # An --out path echoed on stdout: it holds a quote, a backslash and the list
 # slot's rendered text, and it ends in a quote and the slot's value, which
 # renders as an escaped quote followed by the value's JSON form.
-ODD_OUT_NAME = f'q"b\\{cli._SLOT_TEXT}"{cli._LIST_SLOT}'
+ODD_OUT_NAME = f'q"b\\"counterexamples": {json.dumps(cli._SLOT)}"{cli._SLOT}'
 
 
 @pytest.mark.parametrize(
@@ -408,6 +408,17 @@ def test_search_spliced_list_matches_whole_documents(argv, name, tmp_path, capsy
     )
     assert out_path.read_text() == file_text
     assert out == stdout_text
+
+
+@pytest.mark.parametrize("spec", ["1", "5,4,3,2,1", ",".join(["1"] * 20)])
+def test_analyze_spliced_hex_matches_whole_document(spec, capsys):
+    # The table hex is written between the two halves of the rest, not
+    # JSON-encoded; rendering the parsed document whole must give the same bytes.
+    code, out, _ = run_cli(capsys, "analyze", spec, "--tie-policy", "map_to_minus_one")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["results"]["table_hex"] == materialize(parse_spec(spec, "map_to_minus_one")).to_hex()
+    assert out == cli.render_document(doc) + "\n"
 
 
 @st.composite

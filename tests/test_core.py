@@ -277,7 +277,7 @@ INTEGER_INPUTS = [
     ("LtfSpec weight", lambda v: LtfSpec((v, 1, 1)), None, None),
     ("LtfSpec threshold", lambda v: LtfSpec((1, 1, 1), v), None, None),
     ("character_matrix arity", character_matrix, 1, ORACLE_MAX_ARITY),
-    ("FourierExpansion arity", lambda v: FourierExpansion(v, np.zeros(2, np.int32)), 1, MAX_ARITY),
+    ("FourierExpansion arity", lambda v: FourierExpansion(v, np.array([2, 0], np.int32)), 1, MAX_ARITY),
     ("StabilityPolynomial numerator", lambda v: StabilityPolynomial((0, v), 1), None, None),
     ("StabilityPolynomial denominator", lambda v: StabilityPolynomial((0, 1), v), 1, None),
     ("grid_numerators points", StabilityPolynomial((0, 1), 1).grid_numerators, 1, MAX_GRID),
@@ -341,7 +341,7 @@ def test_every_index_input_refuses_non_integers_and_its_range_ends():
 
 
 def test_numpy_integer_arity_is_stored_as_an_int():
-    e = FourierExpansion(np.int64(1), np.zeros(2, np.int32))
+    e = FourierExpansion(np.int64(1), np.array([2, 0], np.int32))
     assert type(e.n) is int and e.size == 2
 
 

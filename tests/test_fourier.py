@@ -186,8 +186,24 @@ def wrapped_counterexample_spectrum():
     ids=["int64 wrap in inverse", "float64 square", "int64 square", "uint64"],
 )
 def test_expansion_refuses_a_coefficient_outside_plus_minus_2_to_the_n(use):
-    with pytest.raises(ValueError, match="within"):
+    with pytest.raises(ValueError, match="Parseval"):
         use()
+
+
+@pytest.mark.parametrize("c", [2**22, 2**22 - 1])
+def test_expansion_refuses_a_non_spectrum_inside_plus_minus_2_to_the_n(c):
+    # Every entry lies within +-2^22, yet the squares sum to about 2^66, not
+    # 4^22. A per-entry bound admits both: with entries 2^22 the int64 sum of
+    # 2^21 squares in influence_from_spectrum wraps to 0, and with 2^22 - 1
+    # the float64 level sums pass 2^53 and lose their low digits.
+    with pytest.raises(ValueError, match="Parseval"):
+        FourierExpansion(22, np.full(2**22, c, np.int32))
+
+
+def test_expansion_stores_the_level_sums_of_its_spectrum():
+    e = wht(counterexample())
+    assert e.level_sums == (0, 704, 0, 256, 0, 64)
+    assert stability_polynomial(e).numerators == e.level_sums
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -212,9 +228,10 @@ def stage_edge_function(case: str, n: int) -> BooleanFunction:
 
 
 # wht runs stages 1-6 in int8 and 7-14 in int16: n = 6 and 14 fill each width
-# to its bound 2^k, n = 7 and 15 cross into the next, n = _BLOCK_BITS fills one
+# to its bound 2^k, n = 7 and 15 cross into the next, n = 12 fills the block's
+# second 6-bit digit and n = 13 starts its third, n = _BLOCK_BITS fills one
 # block and one more bit runs a stage above it, and n = 24 is the cap.
-@pytest.mark.parametrize("n", [6, 7, 14, 15, _BLOCK_BITS, _BLOCK_BITS + 1, 24])
+@pytest.mark.parametrize("n", [6, 7, 12, 13, 14, 15, _BLOCK_BITS, _BLOCK_BITS + 1, 24])
 @pytest.mark.parametrize("case", ["one", "minus_one", "parity"])
 def test_wht_at_every_width_edge_equals_int64_oracle(case, n):
     f = stage_edge_function(case, n)
@@ -232,6 +249,29 @@ def test_wht_past_one_block_equals_int64_oracle(n):
     # spectrum; a random table's blocks all differ.
     f = random_function(n, np.random.default_rng(38 + n))
     assert np.array_equal(wht(f).scaled, butterfly_oracle(f))
+
+
+def test_wht_peak_is_the_spectrum_plus_half_a_mib():
+    # Stages 7-12 run in the slab's own bytes, so a block adds at most one
+    # 2^18-entry int16 array (or the int8 unpack and its rotation) to the
+    # 4-byte spectrum; the level sums after the loop take 0.38 MiB.
+    f = random_function(20, np.random.default_rng(42))
+    wht(f)  # builds the table's cached word view outside the measurement
+    tracemalloc.start()
+    try:
+        e = wht(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * e.size + 2**19 + 2**16
+
+
+def test_wht_equals_int64_oracle_on_random_tables_at_every_arity_to_20():
+    # Every split of a block's bits into its three digits, then two blocks and four.
+    rng = np.random.default_rng(41)
+    for n in range(1, 21):
+        f = random_function(n, rng)
+        assert np.array_equal(wht(f).scaled, butterfly_oracle(f)), n
 
 
 def test_wht_and_levels_match_int64_oracles_at_arity_cap():
@@ -373,19 +413,21 @@ def test_stability_polynomial_known_functions():
     )
 
 
-@pytest.mark.parametrize("n", [_LEVEL_CHUNK_BITS, _LEVEL_CHUNK_BITS + 1])
+# n = 12 is one row of 2^12 squares and 13 two, row 1's levels one above row
+# 0's; 14, 15 and 20 add 4, 8 and 256 rows into 3, 4 and 9 accumulator rows.
+@pytest.mark.parametrize("n", [_LEVEL_CHUNK_BITS, _LEVEL_CHUNK_BITS + 1, 14, 15, 20])
 def test_level_sums_equal_int64_oracle_at_the_chunk_edge(n):
-    # One row of 2^14 squares, then two: row 1's levels sit one above row 0's.
     e = wht(random_function(n, np.random.default_rng(40 + n)))
     assert stability_polynomial(e).weights == level_weights_oracle(e)
 
 
-def test_stability_polynomial_peak_is_under_half_a_mib_above_entry():
-    # One row's float64 squares and intp levels, 2^14 entries each: 0.44 MiB.
-    e = wht(random_function(20, np.random.default_rng(39)))
+def test_expansion_level_sums_peak_is_under_half_a_mib_above_entry():
+    # The accumulator (9 rows), one row's float64 squares and the intp level of
+    # each low mask, 2^12 entries each: 0.38 MiB.
+    scaled = wht(random_function(20, np.random.default_rng(39))).scaled
     tracemalloc.start()
     try:
-        assert sum(stability_polynomial(e).weights) == 1
+        assert sum(stability_polynomial(FourierExpansion(20, scaled)).weights) == 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
