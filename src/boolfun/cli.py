@@ -17,6 +17,8 @@ import stat
 import sys
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .conjecture import compare_stability, search_counterexamples, verify_counterexample
 from .core import BooleanFunction, checked_int
@@ -182,16 +184,14 @@ def cmd_compare(args) -> int:
         raise ValueError(f"arity mismatch: {spec_f.n} vs {spec_g.n}")
     f, g = materialize(spec_f), materialize(spec_g)
     report = compare_stability(f, g, args.grid)
-    # Every column is an integer over den = 4^n G^n, the denominator the
-    # candidate's samples share with D's; int / int rounds to the nearest
-    # double, as float(Fraction) does, so no Fraction is built per row.
-    points = args.grid
-    stab_f, den = report.poly_candidate.grid_numerators(points)
-    lines = ["rho,stab_f,stab_g,diff\n"]
-    for t, (sf, diff) in enumerate(zip(stab_f, report.grid_numerators)):
-        sg = sf + diff  # diff is Stab_g - Stab_f, exactly
-        lines.append(f"{t / points:.17g},{sf / den:.17g},{sg / den:.17g},{diff / den:.17g}\n")
-    _write_out(args.out, lines)
+    # The report holds the nearest doubles to Stab_f, Stab_g and D at t/G, so
+    # every row is four doubles and the whole CSV is one % format.
+    rows = args.grid + 1
+    table = np.empty((rows, 4))
+    table[:, 0] = np.arange(rows) / args.grid
+    table[:, 1:] = report.grid_doubles.T
+    body = ("%.17g,%.17g,%.17g,%.17g\n" * rows) % tuple(table.ravel().tolist())
+    _write_out(args.out, ("rho,stab_f,stab_g,diff\n", body))
     bracket = None
     if report.crossover_bracket is not None:
         lo, hi = report.crossover_bracket

@@ -9,7 +9,7 @@ W_1[f] < W_1[Maj_n] is strictly less stable than majority for small rho.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations_with_replacement, groupby, islice
@@ -20,6 +20,7 @@ from .core import BooleanFunction, checked_int
 from .fourier import (
     MAX_GRID,
     StabilityPolynomial,
+    _grid_doubles,
     coefficient,
     influence,
     stability_polynomial,
@@ -89,39 +90,55 @@ def _refine_bracket(diff: StabilityPolynomial, lo, hi, lo_sign):
     return (lo, hi)
 
 
-def _sign_change_brackets(diff: StabilityPolynomial, numerators):
+def _sign_change_brackets(diff: StabilityPolynomial, values: np.ndarray):
     """Lazily bisected brackets for every sign change of the polynomial in (0, 1).
 
-    ``numerators`` are the grid samples' numerators N_0..N_G over one
-    positive denominator, so N_t has the sign of the value at t/G.
-    Zero-valued samples carry no sign, so the scan compares consecutive
-    nonzero signs and bisects each flip; a touch of zero with equal signs
-    on both sides is a root but not a crossover and is not reported. If a
-    bisection midpoint lands exactly on a root, the zero-width bracket
-    marks that exact rational root, with opposite signs on either side.
+    ``values`` are the nearest doubles to the grid samples D(t/G), t = 0..G,
+    so each has the sign of its sample. Zero-valued samples carry no sign,
+    so the scan compares consecutive nonzero signs and bisects each flip; a
+    touch of zero with equal signs on both sides is a root but not a
+    crossover and is not reported. If a bisection midpoint lands exactly on
+    a root, the zero-width bracket marks that exact rational root, with
+    opposite signs on either side.
     """
-    points = len(numerators) - 1
-    nonzero = [(t, 1 if val > 0 else -1) for t, val in enumerate(numerators) if val]
+    points = len(values) - 1
+    nonzero = np.flatnonzero(values)
+    positive = values[nonzero] > 0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
     return (
-        _refine_bracket(diff, Fraction(t0, points), Fraction(t1, points), s0)
-        for (t0, s0), (t1, s1) in zip(nonzero, nonzero[1:])
-        if s0 != s1
+        _refine_bracket(diff, Fraction(t0, points), Fraction(t1, points), 1 if up else -1)
+        for t0, t1, up in zip(
+            nonzero[flips].tolist(), nonzero[flips + 1].tolist(), positive[flips].tolist()
+        )
     )
 
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Exact comparison of two stability curves, reference minus candidate."""
+    """Exact comparison of two stability curves, reference minus candidate.
+
+    ``grid_doubles`` follows from the polynomials and the grid, so equality
+    leaves it out.
+    """
 
     arity: int
     poly_candidate: StabilityPolynomial
     diff_poly: tuple[Fraction, ...]  # D(rho) = Stab[reference] - Stab[candidate]
-    grid_numerators: tuple[int, ...]  # N_t with D(t/G) = N_t / grid_denominator
-    grid_denominator: int
+    # Read-only (3, G + 1) float64: the nearest doubles to Stab[candidate],
+    # Stab[reference] and D at t/G.
+    grid_doubles: np.ndarray = field(compare=False, repr=False)
+    grid_denominator: int  # L G^d, over which grid_numerators give D(t/G)
     margin: Fraction  # D'(0) = W_1[reference] - W_1[candidate]
     verdict: str
     crossover_bracket: tuple[Fraction, Fraction] | None
     small_rho_witness: tuple[Fraction, Fraction] | None  # (rho_0, D(rho_0))
+
+    @cached_property
+    def grid_numerators(self) -> tuple[int, ...]:
+        """N_t with D(t/G) = N_t / grid_denominator, exact, built on first read."""
+        den = self.poly_candidate.denominator
+        diff = StabilityPolynomial(tuple(int(c * den) for c in self.diff_poly), den)
+        return tuple(diff.grid_numerators(self.grid_doubles.shape[1] - 1)[0])
 
     @cached_property
     def grid(self) -> tuple[tuple[Fraction, Fraction], ...]:
@@ -133,40 +150,39 @@ class ComparisonReport:
         )
 
 
-def _sampled_difference(candidate, reference, points: int):
-    """The candidate's stability polynomial, D = Stab[reference] -
-    Stab[candidate], and D's grid numerators and denominator at t/points.
+def _curves(candidate, reference, points: int):
+    """The stability polynomials of both functions and D = Stab[reference] -
+    Stab[candidate], after checking the arities and the grid ``points``.
     """
     if candidate.n != reference.n:
         raise ValueError(f"arity mismatch: {candidate.n} vs {reference.n}")
-    points = checked_int(points, "rho grid intervals", 2, MAX_GRID)
+    checked_int(points, "rho grid intervals", 2, MAX_GRID)
     poly_f = stability_polynomial(wht(candidate))
     poly_g = stability_polynomial(wht(reference))
-    # Both curves are over 4^n, so D's numerators are differences, and its
-    # grid samples share the denominator 4^n G^n with the candidate's.
+    # Both curves are over 4^n, so D's numerators are differences.
     diff = StabilityPolynomial(
         tuple(g - f for f, g in zip(poly_f.numerators, poly_g.numerators)), poly_f.denominator
     )
-    numerators, denom = diff.grid_numerators(points)
-    return poly_f, diff, numerators, denom
+    return poly_f, poly_g, diff
 
 
-def _small_rho_witness(diff: StabilityPolynomial, numerators, denom: int):
+def _small_rho_witness(diff: StabilityPolynomial, values: np.ndarray):
     """A rho_0 with D positive on every sampled point of (0, rho_0].
 
-    The positive grid prefix serves when there is one; D(t/G) has the sign
-    of its numerator N_t, and the value there is N_t / denom. Otherwise halve
-    downward from below the first grid point, so no grid sample lies in
-    (0, rho_0]. With c_0 = 0 and c_1 > 0, on (0, 1]
+    The positive grid prefix serves when there is one; ``values`` are the
+    nearest doubles to D(t/G), with the signs of the samples, and the value
+    at the prefix's end is one exact evaluation. Otherwise halve downward
+    from below the first grid point, so no grid sample lies in (0, rho_0].
+    With c_0 = 0 and c_1 > 0, on (0, 1]
     D(rho) >= c_1*rho - rho^2 * sum_{k>=2} |c_k|, positive once
     rho * sum_{k>=2} |c_k| < c_1, which fixes the number of halvings.
     """
-    points = len(numerators) - 1
-    last = 0
-    while last < points and numerators[last + 1] > 0:
-        last += 1
+    points = len(values) - 1
+    stops = np.flatnonzero(values[1:] <= 0)
+    last = int(stops[0]) if stops.size else points
     if last:
-        return (Fraction(last, points), Fraction(numerators[last], denom))
+        rho = Fraction(last, points)
+        return (rho, diff.evaluate(rho))
     rho = Fraction(1, 2 * points)
     tail = sum(abs(a) for a in diff.numerators[2:])
     halvings = int(rho * tail / diff.numerators[1]).bit_length()
@@ -189,27 +205,25 @@ def compare_stability(
     ``consistent`` when no sampled difference is positive, and
     ``indeterminate`` when one is.
     """
-    poly_f, diff, numerators, denom = _sampled_difference(candidate, reference, grid_size)
+    poly_f, poly_g, diff = _curves(candidate, reference, grid_size)
+    doubles = _grid_doubles((poly_f, poly_g, diff), grid_size)
+    values = doubles[2]
     margin = diff.weights[1]
     if diff.weights[0] == 0 and margin > 0:
         verdict = VERDICT_REFUTES
-        witness = _small_rho_witness(diff, numerators, denom)
+        witness = _small_rho_witness(diff, values)
     else:
         witness = None
-        verdict = (
-            VERDICT_CONSISTENT
-            if all(val <= 0 for val in numerators)
-            else VERDICT_INDETERMINATE
-        )
+        verdict = VERDICT_INDETERMINATE if (values > 0).any() else VERDICT_CONSISTENT
     return ComparisonReport(
         arity=candidate.n,
         poly_candidate=poly_f,
         diff_poly=diff.weights,
-        grid_numerators=tuple(numerators),
-        grid_denominator=denom,
+        grid_doubles=doubles,
+        grid_denominator=diff.denominator * (len(values) - 1) ** (len(diff.numerators) - 1),
         margin=margin,
         verdict=verdict,
-        crossover_bracket=next(_sign_change_brackets(diff, numerators), None),
+        crossover_bracket=next(_sign_change_brackets(diff, values), None),
         small_rho_witness=witness,
     )
 
@@ -224,8 +238,8 @@ def crossover_scan(
     difference is sign-constant on the sampled points only; the resolution is
     the caller-visible bound on what the scan can distinguish.
     """
-    _, diff, numerators, _ = _sampled_difference(candidate, reference, resolution)
-    return list(_sign_change_brackets(diff, numerators))
+    _, _, diff = _curves(candidate, reference, resolution)
+    return list(_sign_change_brackets(diff, _grid_doubles((diff,), resolution)[0]))
 
 
 @dataclass(frozen=True)

@@ -224,14 +224,20 @@ def _sign_block(f: BooleanFunction, start: int, count: int) -> np.ndarray:
     return signs
 
 
-def _from_packed(n: int, packed: np.ndarray) -> BooleanFunction:
-    """The arity-n function whose table is the little-endian uint8 bytes ``packed``."""
+def _from_packed(n: int, packed: bytes) -> BooleanFunction:
+    """The arity-n function whose table is the little-endian bytes ``packed``.
+
+    ``packed`` must be ``bytes``: ``int.from_bytes`` copies any other buffer
+    into a new bytes object first, so a caller converts its array with
+    ``tobytes`` and drops it, and the int is built beside one copy, not two.
+    """
     return BooleanFunction(n, int.from_bytes(packed, "little"))
 
 
 def _from_mask(mask: np.ndarray) -> BooleanFunction:
     """The function that is +1 exactly where a boolean vector of length 2^n is True."""
-    return _from_packed(mask.size.bit_length() - 1, np.packbits(mask, bitorder="little"))
+    packed = np.packbits(mask, bitorder="little").tobytes()  # the array is dropped here
+    return _from_packed(mask.size.bit_length() - 1, packed)
 
 
 def edge_ends(f: BooleanFunction, i: int) -> tuple[np.ndarray, np.ndarray]:

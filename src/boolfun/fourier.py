@@ -17,6 +17,12 @@ the outside. The int32 spectrum stays within 2^24 < 2^31, and it plus
 expansion sums its squares by level once, on construction, in float64, and
 is refused unless they total 4^n (Parseval); a true spectrum's level sums
 stay within 4^24 = 2^48 < 2^53, so they are exact.
+
+A stability polynomial holds integers over 4^n and evaluates exactly in
+Python ints. A grid of its values, as ``compare`` writes, is evaluated in
+float64 by a compensated Horner whose a-posteriori bound proves each value
+the nearest double to the exact sample; the few points it cannot prove
+(zeros, midpoints) go to the exact integer Horner.
 """
 
 from __future__ import annotations
@@ -38,9 +44,10 @@ from .core import (
     edge_ends,
 )
 
-# Largest grid (intervals) that grid_numerators accepts, and so compare_stability
-# and crossover_scan; it must stay >= 4096, the crossover_scan default. It bounds
-# the work of a grid: one integer Horner pass over its G + 1 points per curve.
+# Largest grid (intervals) that grid_numerators and _grid_doubles accept, and so
+# compare_stability and crossover_scan; it must stay >= 4096, the crossover_scan
+# default. It bounds the work of a grid: one float64 pass over its G + 1 points
+# per curve, or one integer Horner pass, and G <= 2^16 keeps t/G at least 2^-16.
 MAX_GRID = 2**16
 
 # wht runs its low stages on blocks of 2^_BLOCK_BITS entries. At 2^18 a block's
@@ -176,6 +183,156 @@ class StabilityPolynomial:
         """
         points = checked_int(points, "grid intervals", 1, MAX_GRID)
         return self._horner(points, range(points + 1))
+
+
+# Veltkamp's splitter for 53-bit doubles: a * (2^27 + 1) splits a into two
+# 26-bit halves whose pairwise products are exact.
+_SPLITTER = float(2**27 + 1)
+
+
+def _split(a):
+    """(a_hi, a_lo) with a = a_hi + a_lo exactly and each half 26 bits wide."""
+    big = a * _SPLITTER
+    hi = big - (big - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """(s, e) with s = fl(a + b) and a + b = s + e exactly (Knuth)."""
+    s = a + b
+    z = s - a
+    return s, (a - (s - z)) + (b - z)
+
+
+def _grid_doubles(polys, points: int) -> np.ndarray:
+    """The nearest double to P(t/G) for each P in ``polys`` and t = 0..G, G = points.
+
+    A read-only (len(polys), G + 1) float64 array. Every polynomial has
+    integer numerators |a_k| <= 2^53 over one denominator L = 2^e, e <= 48,
+    and degree d <= 24 (zero leading coefficients pad the shorter ones), so
+    each c_k = a_k / L is an exact double in 2^-48 Z. A compensated Horner
+    (Graillat, Langlois and Louvet, 2009) evaluates every point at once and
+    proves its rounded value correct; only points whose proof fails go to
+    the exact ``_horner``, whose int / int rounds to nearest, ties to even.
+
+    x = t/G is carried as x_h + x_l: x_h = fl(t/G), and since t - x_h G is
+    exactly representable (the remainder of a rounded division), Dekker's
+    TwoProd of x_h G gives it with no error, and x_l = fl((t - x_h G) / G).
+    With eps = x - x_h, |eps| <= u x_h and |eps - x_l| <= u |x_l|, u = 2^-53.
+    A power-of-two G makes x_l = 0, so every G takes the one path.
+
+    Horner with error-free transforms, s_d = c_d and for i = d-1..0:
+    s_{i+1} x_h = p_i + pi_i (TwoProd), p_i + c_i = s_i + sigma_i (TwoSum).
+    With e_i = E_i - s_i against exact Horner E_i = E_{i+1} x + c_i,
+    e_i = e_{i+1} x + q_i, q_i = pi_i + sigma_i + s_{i+1} eps, so
+    P(x) = s_0 + e_0. The correction runs in floating point: w_i =
+    fl(s_{i+1} x_l), v_i = fl(pi_i + sigma_i), q'_i = fl(v_i + w_i),
+    r_i = fl(fl(r_{i+1} x_h) + q'_i), r_d = 0. Each rounding is within u of
+    its result, so with rho_i = |v_i| + |w_i| the step error f_i = e_i - r_i
+    obeys f_i = f_{i+1} x + l_i with |q_i - q'_i| <= (3 + 2u) u rho_i,
+    |r_{i+1} eps| <= u x_h |r_{i+1}| and the two roundings of r_i within
+    u (1 + u)^2 (rho_i + 2 x_h |r_{i+1}|): |l_i| <= u (4.001 rho_i +
+    3.001 x_h |r_{i+1}|). By induction |r_{i+1}| <= (1 + u)^(2d) R_{i+1},
+    R_i = R_{i+1} x_h + rho_i, R_d = 0; and x <= (1 + u) x_h. Summing
+    |f_0| <= sum_i |l_i| x^i, where sum_i x_h^(i+1) R_{i+1} = sum_j j rho_j
+    x_h^j <= d R_0, gives |f_0| <= 1.001 (4.001 + 3.004 d) u R_0 < 78 u R_0
+    for d <= 24. The bound Horner R' computes R_0 from nonnegative terms,
+    within a factor 1.001 of it, so B = fl(2^-45 R' + 2^-1060) >=
+    2^-46 R' >= 78 u R_0 bounds |f_0|, and P(x) = hi + lo + f_0 with
+    hi + lo = s_0 + r_0 by a last TwoSum.
+
+    The 2^-1060 covers underflow: a sum that rounds into the subnormal range
+    is exact, and each of the at most 3d = 72 products that round there
+    adds at most 2^-1075, within 2^-1068 after the factors x^i <= 1. The
+    error-free transforms are exact with no underflow or overflow:
+    |s_i| < 2^58 keeps the splitter's product below 2^86; and every nonzero
+    s_i has |s_i| >= 2^-492, since s_d = c_d lies in 2^-48 Z and a step
+    either keeps a value >= 2^-101 (a sum of c_i != 0 with p_i >= 2^-49,
+    both in 2^-101 Z, or with a smaller p_i, over 2^-49) or multiplies by
+    x_h >= 2^-16 (c_i = 0), so a nonzero product s x_h has exponent at
+    least -509, above Dekker's limit of -970 (x_h = 0 at t = 0 makes every
+    product 0).
+
+    hi is certified when [hi + lo - B, hi + lo + B] lies strictly inside
+    hi's rounding cell, whose ends are the midpoints to its neighbours:
+    fl(lo + B) < (succ(hi) - hi)/2 and fl(lo - B) > -(hi - pred(hi))/2,
+    rigorous as rounding is monotone and each half gap is a double. The two
+    gaps differ at a power of two, and a midpoint never certifies. A zero
+    hi never does either, its half gaps rounding to 0. Every nonzero value
+    is at least 1/(L G^d) >= 2^-432, far from underflow, so its nearest
+    double is nonzero with its sign.
+    """
+    points = checked_int(points, "grid intervals", 1, MAX_GRID)
+    den = polys[0].denominator
+    degree = max(len(p.numerators) for p in polys) - 1
+    if (
+        den & (den - 1)
+        or den > 4**MAX_ARITY
+        or degree > MAX_ARITY
+        or any(p.denominator != den or max(map(abs, p.numerators)) > 2**53 for p in polys)
+    ):
+        raise ValueError("grid doubles need numerators within 2^53 over one power of two <= 4^24")
+    coeffs = np.zeros((degree + 1, len(polys), 1))
+    for row, p in enumerate(polys):
+        coeffs[: len(p.numerators), row, 0] = p.numerators
+    coeffs /= den  # exact: a power of two
+    t = np.arange(points + 1, dtype=np.float64)
+    xh = t / points
+    xh_hi, xh_lo = _split(xh)
+    # TwoProd of x_h G: G has at most 17 bits, so it is its own high half.
+    # t - p is exact (Sterbenz), and so is its difference with the error.
+    p = xh * points
+    xl = ((t - p) - ((xh_hi * points - p) + xh_lo * points)) / points
+    # The loop runs in place in eight arrays: allocating a temporary per
+    # operation took a third longer at G = 2^16 and a fifth at G = 2048.
+    s = np.broadcast_to(coeffs[-1], (len(polys), points + 1)).copy()
+    r, bound = np.zeros_like(s), np.zeros_like(s)
+    p, pi, a, b, z = (np.empty_like(s) for _ in range(5))
+    for c in coeffs[-2::-1]:
+        # TwoProd s x_h = p + pi, with s split into s_hi + s_lo in a and b.
+        np.multiply(s, xh, out=p)
+        np.multiply(s, _SPLITTER, out=a)
+        np.subtract(a, s, out=b)
+        a -= b
+        np.subtract(s, a, out=b)
+        np.multiply(a, xh_hi, out=pi)
+        pi -= p
+        a *= xh_lo
+        pi += a
+        np.multiply(b, xh_hi, out=a)
+        pi += a
+        b *= xh_lo
+        pi += b
+        # w = fl(s x_l) in a; TwoSum p + c = s + sigma, sigma into b.
+        np.multiply(s, xl, out=a)
+        np.add(p, c, out=s)
+        np.subtract(s, p, out=z)
+        np.subtract(s, z, out=b)
+        p -= b
+        np.subtract(c, z, out=b)
+        b += p
+        # v = fl(pi + sigma), r = fl(fl(r x_h) + fl(v + w)), bound += |v| + |w|.
+        pi += b
+        r *= xh
+        np.add(pi, a, out=b)
+        r += b
+        np.abs(pi, out=pi)
+        np.abs(a, out=a)
+        pi += a
+        bound *= xh
+        bound += pi
+    hi, lo = _two_sum(s, r)
+    bound = bound * 2.0**-45 + 2.0**-1060
+    up = (np.nextafter(hi, np.inf) - hi) * 0.5
+    down = (hi - np.nextafter(hi, -np.inf)) * 0.5
+    ok = (lo + bound < up) & (lo - bound > -down)
+    for k, poly in enumerate(polys):
+        missed = np.flatnonzero(~ok[k]).tolist()
+        if missed:
+            values, denom = poly._horner(points, missed)
+            hi[k, missed] = [value / denom for value in values]
+    hi.setflags(write=False)
+    return hi
 
 
 def _stages(vec: np.ndarray, lo: int, hi: int) -> None:

@@ -192,6 +192,7 @@ def materialize(spec: LtfSpec) -> BooleanFunction:
     packed, tie = _scan(spec, table=True, ties=spec.tie_policy == TIE_REJECT)
     if tie is not None:
         raise TieEncountered(spec, tie)
+    packed = packed.tobytes()  # drops the array before the int is built
     return _from_packed(spec.n, packed)
 
 

@@ -81,6 +81,12 @@ ROWS = [
          "--out", "out.csv"), peak_mib=110, timeout=120,
         stdout="480bcb9f747ceffd483b8b427a1e29ca389a6610423c09cf18233ea21bd99ede",
         out="e0a78bd1dc4a00e99a4f5a64f0bf8317fde3422cb071dda300dd898830859364"),
+    # 2^16 - 1 intervals: t/G is no double, so the certified float grid carries x = x_h + x_l
+    # at the cap. Both digests are those of the all-integer Horner and int / int CSV before it.
+    Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65535",
+         "--out", "out.csv"), peak_mib=110, timeout=120,
+        stdout="7910addb7913b57dc1721b7a73f5e70ef0a1b4dedb9f298f385e30d457c19cd1",
+        out="78b413113903d28eb69248e26cc875d258df86d5b116ffd893f6e3b03c6a0d84"),
     # n = 24 in Python-int sums, the most comparisons MAX_SUM_BITS admits; 40 MiB, as its sums
     # are two half-length vectors.
     Row(("table", ",".join(["4611686018427387905"] + ["1"] * 23)), peak_mib=150, timeout=30,

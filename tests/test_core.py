@@ -1,6 +1,7 @@
 """Truth-table representation, index encoding, table transforms, and the integer gate."""
 
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,7 @@ from boolfun import (
     signs_to_index,
     wht,
 )
-from boolfun.core import _CLEAR_END_MASKS, edge_ends
+from boolfun.core import _CLEAR_END_MASKS, _from_mask, edge_ends
 
 from helpers import random_function
 
@@ -203,6 +204,22 @@ def test_construction_validation():
     f = BooleanFunction(np.int64(3), np.int64(5))
     assert type(f.n) is int and type(f.table) is int
     assert f == BooleanFunction(3, 5)
+
+
+def test_from_mask_builds_the_int_beside_one_copy_of_the_bytes():
+    # The packed bytes go to int.from_bytes as bytes, with the packed array
+    # dropped; an array argument is copied first, which read 3.07 tables.
+    mask = np.arange(1 << 20) % 3 == 0
+    table_bytes = mask.size // 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        f = _from_mask(mask)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert f.table == int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+    assert peak <= 2.25 * table_bytes
 
 
 def test_bias_and_ones():

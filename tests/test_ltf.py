@@ -185,8 +185,8 @@ def test_object_sums_at_the_row_split():
 
 
 def test_materialize_peak_is_under_three_quarters_of_a_byte_per_entry():
-    # The table is 1/8 byte an entry and the int.from_bytes copies two more
-    # eighths; the rest is one row of sums and comparisons, not a 2^n array.
+    # The table is 1/8 byte an entry and its bytes for int.from_bytes one
+    # more eighth; the rest is one row of sums and comparisons, not a 2^n array.
     spec = LtfSpec(tuple(range(19, 0, -1)) + (21,))  # |w|_1 = 211 is odd: tie-free
     materialize(spec)
     tracemalloc.start()
@@ -196,6 +196,24 @@ def test_materialize_peak_is_under_three_quarters_of_a_byte_per_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 0.75 * (1 << spec.n)
+
+
+def test_table_int_is_built_beside_one_copy_of_its_bytes():
+    # int.from_bytes copies any buffer but bytes into a new bytes object, so
+    # an array argument held the packed array, that copy and the int at once
+    # (3.07 tables at n = 20). materialize hands it bytes with the array
+    # dropped: its peak is now the row scan's, the packed table beside half
+    # a table of int16 sums and a quarter of comparisons (2.61 tables).
+    spec = LtfSpec((3,) * 10 + (1,) * 9 + (2,))
+    table_bytes = (1 << spec.n) // 8
+    materialize(spec)
+    tracemalloc.start()
+    try:
+        materialize(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * table_bytes
 
 
 def test_majority_basics():
