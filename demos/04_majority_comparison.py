@@ -34,7 +34,7 @@ print("=" * 64)
 f = counterexample()
 maj = majority(5)
 cmp = compare_stability(f, maj, grid_size=100)
-print(f"  D(rho) = Stab[Maj_5] - Stab[f], coefficients {[str(c) for c in cmp.diff_poly]}")
+print(f"  D(rho) = Stab[Maj_5] - Stab[f], coefficients {[str(c) for c in cmp.diff.weights]}")
 print(f"  D'(0) = W^1[Maj_5] - W^1[f] = {cmp.margin}")
 print(f"  verdict: {cmp.verdict}")
 rho0, d0 = cmp.small_rho_witness

@@ -208,7 +208,7 @@ def cmd_compare(args) -> int:
         "arity": report.arity,
         "verdict": report.verdict,
         "margin": fraction_fields(report.margin),
-        "diff_poly": [fraction_fields(c) for c in report.diff_poly],
+        "diff_poly": [fraction_fields(c) for c in report.diff.weights],
         "small_rho_witness": witness,
         "crossover_bracket": bracket,
         "csv": {
@@ -375,11 +375,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: every parse_args call returns a fresh Namespace.
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
+        _PARSER.print_usage(sys.stderr)
         return EXIT_USAGE
     try:
         return args.handler(args)

@@ -123,30 +123,22 @@ class ComparisonReport:
 
     arity: int
     poly_candidate: StabilityPolynomial
-    diff_poly: tuple[Fraction, ...]  # D(rho) = Stab[reference] - Stab[candidate]
+    diff: StabilityPolynomial  # D(rho) = Stab[reference] - Stab[candidate], over 4^n
     # Read-only (3, G + 1) float64: the nearest doubles to Stab[candidate],
     # Stab[reference] and D at t/G.
     grid_doubles: np.ndarray = field(compare=False, repr=False)
-    grid_denominator: int  # L G^d, over which grid_numerators give D(t/G)
     margin: Fraction  # D'(0) = W_1[reference] - W_1[candidate]
     verdict: str
     crossover_bracket: tuple[Fraction, Fraction] | None
     small_rho_witness: tuple[Fraction, Fraction] | None  # (rho_0, D(rho_0))
 
     @cached_property
-    def grid_numerators(self) -> tuple[int, ...]:
-        """N_t with D(t/G) = N_t / grid_denominator, exact, built on first read."""
-        den = self.poly_candidate.denominator
-        diff = StabilityPolynomial(tuple(int(c * den) for c in self.diff_poly), den)
-        return tuple(diff.grid_numerators(self.grid_doubles.shape[1] - 1)[0])
-
-    @cached_property
     def grid(self) -> tuple[tuple[Fraction, Fraction], ...]:
         """The (rho, D(rho)) samples as Fractions, built on first read."""
-        points = len(self.grid_numerators) - 1
+        points = self.grid_doubles.shape[1] - 1
+        numerators, denominator = self.diff.grid_numerators(points)
         return tuple(
-            (Fraction(t, points), Fraction(val, self.grid_denominator))
-            for t, val in enumerate(self.grid_numerators)
+            (Fraction(t, points), Fraction(val, denominator)) for t, val in enumerate(numerators)
         )
 
 
@@ -218,9 +210,8 @@ def compare_stability(
     return ComparisonReport(
         arity=candidate.n,
         poly_candidate=poly_f,
-        diff_poly=diff.weights,
+        diff=diff,
         grid_doubles=doubles,
-        grid_denominator=diff.denominator * (len(values) - 1) ** (len(diff.numerators) - 1),
         margin=margin,
         verdict=verdict,
         crossover_bracket=next(_sign_change_brackets(diff, values), None),
@@ -255,7 +246,6 @@ class VerificationReport:
     checks: tuple[IdentityCheck, ...]
     passed: bool
     first_failure: str | None
-    majority_influences: tuple[Fraction, ...]
     candidate_influences: tuple[Fraction, ...]
     w1_majority: Fraction
     w1_candidate: Fraction
@@ -324,7 +314,6 @@ def verify_counterexample(candidate: BooleanFunction | None = None) -> Verificat
         checks=tuple(checks),
         passed=not failures,
         first_failure=failures[0] if failures else None,
-        majority_influences=inf_maj,
         candidate_influences=inf_cand,
         w1_majority=w1_maj,
         w1_candidate=w1_cand,

@@ -132,10 +132,11 @@ def csv_rows_oracle(report, grid: int) -> str:
 
     Each row evaluates the candidate's curve and D at t/grid in Fractions,
     adds them for the reference's curve and renders every cell with
-    ``decimal17``. The reference for the CLI, which writes the rows from
-    integer grid numerators: the bytes must be equal.
+    ``decimal17``. D is rebuilt from the report's Fraction coefficients.
+    The reference for the CLI, which writes the rows from the report's
+    float64 ``grid_doubles``: the bytes must be equal.
     """
-    diff = polynomial(report.diff_poly)
+    diff = polynomial(report.diff.weights)
     lines = ["rho,stab_f,stab_g,diff\n"]
     for t in range(grid + 1):
         rho = Fraction(t, grid)
@@ -150,7 +151,7 @@ def comparison_oracle(diff_weights, grid: int):
     D is evaluated at every t/grid as a Fraction; the verdict, the
     positive-prefix witness (or the halving fallback) and the bracket scan
     run over those values. The reference for ``compare_stability`` and
-    ``crossover_scan``, which read the signs of integer grid numerators.
+    ``crossover_scan``, which read the signs of the float64 grid samples.
     Bisection is shared with the library (``conjecture._refine_bracket``);
     the scans are not.
     """

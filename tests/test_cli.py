@@ -109,12 +109,14 @@ def test_analyze_tie_policy_flag(capsys):
 
 
 def test_cli_imports_no_private_name_from_the_package():
-    # The CLI is a client of the public API: every name it takes from a
-    # boolfun module is public (dunders such as __version__ aside).
-    tree = ast.parse(Path(cli.__file__).read_text())
+    # The CLI and the demos are clients of the public API: every name they
+    # take from a boolfun module is public (dunders such as __version__ aside).
+    demos = sorted(Path(__file__).resolve().parent.parent.glob("demos/*.py"))
+    assert demos
     private = [
-        alias.name
-        for node in ast.walk(tree)
+        (path.name, alias.name)
+        for path in [Path(cli.__file__), *demos]
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("boolfun"))
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")

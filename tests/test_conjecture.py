@@ -1,6 +1,7 @@
 """Comparison verdicts, exact verification, crossover scan, and weight search."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from math import comb, gcd
@@ -23,6 +24,7 @@ from boolfun import (
     materialize,
     naive_expansion,
     search_counterexamples,
+    stability_polynomial,
     tie_witness,
     verify_counterexample,
     wht,
@@ -52,7 +54,7 @@ from helpers import (
 def test_compare_identical_functions():
     maj = majority(5)
     report = compare_stability(maj, maj, 10)
-    assert all(c == 0 for c in report.diff_poly)
+    assert all(c == 0 for c in report.diff.weights)
     assert report.verdict == VERDICT_CONSISTENT
     assert report.crossover_bracket is None
     assert report.small_rho_witness is None
@@ -62,7 +64,7 @@ def test_compare_counterexample_vs_majority():
     report = compare_stability(counterexample(), majority(5), 100)
     assert report.verdict == VERDICT_REFUTES
     assert report.margin == Fraction(1, 64)
-    assert report.diff_poly == (
+    assert report.diff.weights == (
         Fraction(0),
         Fraction(1, 64),
         Fraction(0),
@@ -78,13 +80,40 @@ def test_compare_counterexample_vs_majority():
     assert report.grid[-1][1] == 0
 
 
-def test_compare_samples_share_the_candidates_denominator():
-    # The CSV adds the candidate's samples to D's as integers over one
-    # denominator, 4^n G^n.
-    report = compare_stability(counterexample(), majority(5), 256)
-    numerators, denom = report.poly_candidate.grid_numerators(256)
-    assert report.grid_denominator == denom == 4**5 * 256**5
-    assert len(numerators) == len(report.grid_numerators)
+def test_compare_reports_of_one_input_are_equal_apart_from_their_arrays():
+    f, g = counterexample(), majority(5)
+    first, second = compare_stability(f, g, 100), compare_stability(f, g, 100)
+    assert first.grid_doubles is not second.grid_doubles
+    assert first == second
+    assert replace(first, grid_doubles=np.zeros((3, 101))) == first
+    assert "grid_doubles" not in repr(first)
+    assert not first.grid_doubles.flags.writeable
+    with pytest.raises(ValueError):
+        first.grid_doubles[2, 1] = 0.0
+
+
+@pytest.mark.parametrize("points", [100, 2**16 - 1])
+def test_compare_grid_doubles_are_the_nearest_doubles_to_the_grid(points):
+    # float(Fraction) rounds to nearest; the exact samples come from D's
+    # integer Horner, the doubles from the float64 evaluator.
+    report = compare_stability(counterexample(), majority(5), points)
+    assert len(report.grid) == points + 1
+    assert report.grid_doubles[2].tolist() == [float(v) for _, v in report.grid]
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 8])
+def test_compare_diff_is_reference_minus_candidate_over_four_to_the_n(n):
+    rng = np.random.default_rng(3200 + n)
+    pairs = [(random_function(n, rng), random_function(n, rng)) for _ in range(3)]
+    if n == 5:
+        pairs.append((counterexample(), majority(5)))
+    for f, g in pairs:
+        diff = compare_stability(f, g, 8).diff
+        poly_f, poly_g = stability_polynomial(wht(f)), stability_polynomial(wht(g))
+        assert poly_f.denominator == poly_g.denominator == diff.denominator == 4**n
+        assert diff.numerators == tuple(
+            b - a for a, b in zip(poly_f.numerators, poly_g.numerators, strict=True)
+        )
 
 
 def test_compare_witness_prefix_property():
@@ -119,7 +148,7 @@ def test_compare_crossover_bracket():
 def test_compare_dictator_vs_majority3_consistent():
     dictator3 = materialize(LtfSpec((1, 0, 0)))
     report = compare_stability(dictator3, majority(3), 10)
-    assert report.diff_poly == (
+    assert report.diff.weights == (
         Fraction(0),
         Fraction(-1, 4),
         Fraction(0),
@@ -166,7 +195,8 @@ def test_numpy_integer_grid_gives_the_int_report(n):
     # At n = 9 the grid's G^n passes 2^63, so the samples need Python ints.
     f = materialize(LtfSpec((3,) + (1,) * (n - 1)))
     expected = compare_stability(f, majority(n), 256)
-    assert compare_stability(f, majority(n), np.int64(256)) == expected
+    report = compare_stability(f, majority(n), np.int64(256))
+    assert report == expected and report.grid == expected.grid
     assert crossover_scan(f, majority(n), np.int64(256)) == crossover_scan(
         f, majority(n), 256
     )
@@ -313,7 +343,7 @@ SIGN_SCAN_CASES = [
 
 def assert_sign_scans_match_oracle(f, g, grid):
     report = compare_stability(f, g, grid)
-    verdict, witness, brackets = comparison_oracle(report.diff_poly, grid)
+    verdict, witness, brackets = comparison_oracle(report.diff.weights, grid)
     assert report.verdict == verdict
     assert report.small_rho_witness == witness
     assert report.crossover_bracket == (brackets[0] if brackets else None)
@@ -326,8 +356,9 @@ def test_sign_scans_match_fraction_sample_oracle_on_edge_pairs(case):
     f, g, grids = SIGN_SCAN_CASES[case]
     for grid in grids:
         report = assert_sign_scans_match_oracle(f, g, grid)
-        # The lazy grid is the Fraction samples, value and type.
-        diff = polynomial(report.diff_poly)
+        # The lazy grid is the Fraction samples, value and type, against D
+        # rebuilt from its Fraction coefficients.
+        diff = polynomial(report.diff.weights)
         assert report.grid == tuple(
             (Fraction(t, grid), diff.evaluate(Fraction(t, grid))) for t in range(grid + 1)
         )
@@ -337,7 +368,7 @@ def test_sign_scans_match_fraction_sample_oracle_on_edge_pairs(case):
 def test_sign_scan_edge_pairs_show_their_features():
     # The features the cases above are chosen for, on the grid samples.
     def signs(f, g, grid):
-        return [(v > 0) - (v < 0) for v in compare_stability(f, g, grid).grid_numerators]
+        return [(v > 0) - (v < 0) for _, v in compare_stability(f, g, grid).grid]
 
     halving = compare_stability(counterexample(), majority(5), 2).small_rho_witness
     assert 0 < halving[0] < Fraction(1, 2) and halving[1] > 0

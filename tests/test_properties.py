@@ -235,7 +235,7 @@ def test_compare_refutes_only_with_a_checked_witness(pair, grid):
         assert report.small_rho_witness is None
         return
     rho, value = report.small_rho_witness
-    assert report.diff_poly[0] == 0 and report.margin > 0 and value > 0
+    assert report.diff.weights[0] == 0 and report.margin > 0 and value > 0
     assert value == stability_oracle(g, g, rho) - stability_oracle(f, f, rho)
 
 
