@@ -12,17 +12,21 @@ the output; the stages above the block run in int32 on the whole output. A
 stage's cost is numpy's loop over its rows, not its arithmetic, so each
 block's stages run where their rows are long: the block's 18 index bits are
 three 6-bit digits, and each digit's stages run while a copy has rotated it to
-the outside. The int32 spectrum stays within 2^24 < 2^31, and it plus
-512 KiB is the transform's peak: 64.5 MiB at n = 24. Every
+the outside. An odd table, f(-x) = -f(x), as Maj_n and every tie-free LTF at
+theta = 0 are, transforms only its x_n = -1 half this way; its top stage then
+writes 2G or -2G, G the half's spectrum, within 2^n <= 2^24. The int32
+spectrum stays within 2^24 < 2^31, and it plus 512 KiB is the transform's
+peak on either path: 64.5 MiB at n = 24. Every
 expansion sums its squares by level once, on construction, in float64, and
 is refused unless they total 4^n (Parseval); a true spectrum's level sums
 stay within 4^24 = 2^48 < 2^53, so they are exact.
 
 A stability polynomial holds integers over 4^n and evaluates exactly in
 Python ints. A grid of its values, as ``compare`` writes, is evaluated in
-float64 by a compensated Horner whose a-posteriori bound proves each value
-the nearest double to the exact sample; the few points it cannot prove
-(zeros, midpoints) go to the exact integer Horner.
+float64, in column blocks of 2^13 points, by a compensated Horner whose
+a-posteriori bound proves each value the nearest double to the exact
+sample; the few points it cannot prove (zeros, midpoints) go to the exact
+integer Horner.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from .core import (
     ORACLE_MAX_ARITY,
     BooleanFunction,
     _from_mask,
+    _odd,
     _sign_block,
     checked_int,
     checked_ints,
@@ -66,6 +71,13 @@ _BLOCK_BITS = 18
 # 0.9 MiB accumulator. A bincount per row of 2^14 took 2.7 ms at n = 20 and
 # 45 ms at n = 24; this takes 1.5 and 25 ms.
 _LEVEL_CHUNK_BITS = 12
+
+# wht's odd top stage scales a row of 2^_LEVEL_CHUNK_BITS entries of the half
+# spectrum G, at low masks m, by _TOP_FACTORS[p], p the parity of the row's
+# high bits: for the lower output half 2 where |m| + p is odd, for the upper
+# -2 where it is even, and 0 elsewhere. Built once, 64 KiB.
+_LOW_ODD = (np.bitwise_count(np.arange(1 << _LEVEL_CHUNK_BITS)) & 1).astype(np.int32)
+_TOP_FACTORS = 2 * np.array([[_LOW_ODD, _LOW_ODD - 1], [1 - _LOW_ODD, -_LOW_ODD]])
 
 __all__ = [
     "MAX_GRID",
@@ -185,6 +197,13 @@ class StabilityPolynomial:
         return self._horner(points, range(points + 1))
 
 
+# _grid_doubles evaluates its grid in column blocks of 2^13 points, so the
+# loop's eight (3, block) float64 work arrays, 1.5 MiB, stay in a 2 MiB L2.
+# On three n = 24 curves at G = 2^16, whole rows took 114-118 ms and blocks
+# of 2^13 54-65 ms (best of 5); a grid of at most 8192 points, as
+# curve-11's 2049, is one block.
+_GRID_BLOCK = 2**13
+
 # Veltkamp's splitter for 53-bit doubles: a * (2^27 + 1) splits a into two
 # 26-bit halves whose pairwise products are exact.
 _SPLITTER = float(2**27 + 1)
@@ -202,6 +221,58 @@ def _two_sum(a, b):
     s = a + b
     z = s - a
     return s, (a - (s - z)) + (b - z)
+
+
+def _certified_horner(coeffs, xh, xh_hi, xh_lo, xl) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, ok) of ``_grid_doubles``' compensated Horner over one block of points.
+
+    ``coeffs`` has shape (d + 1, m, 1), c_0 first; the point arrays are x_h,
+    its two halves and x_l. hi is fl(s_0 + r_0), and ok marks the points
+    whose value hi is proven the nearest double to the exact sample.
+    """
+    # The loop runs in place in eight arrays: allocating a temporary per
+    # operation took a third longer at G = 2^16 and a fifth at G = 2048.
+    s = np.broadcast_to(coeffs[-1], (coeffs.shape[1], xh.size)).copy()
+    r, bound = np.zeros_like(s), np.zeros_like(s)
+    p, pi, a, b, z = (np.empty_like(s) for _ in range(5))
+    for c in coeffs[-2::-1]:
+        # TwoProd s x_h = p + pi, with s split into s_hi + s_lo in a and b.
+        np.multiply(s, xh, out=p)
+        np.multiply(s, _SPLITTER, out=a)
+        np.subtract(a, s, out=b)
+        a -= b
+        np.subtract(s, a, out=b)
+        np.multiply(a, xh_hi, out=pi)
+        pi -= p
+        a *= xh_lo
+        pi += a
+        np.multiply(b, xh_hi, out=a)
+        pi += a
+        b *= xh_lo
+        pi += b
+        # w = fl(s x_l) in a; TwoSum p + c = s + sigma, sigma into b.
+        np.multiply(s, xl, out=a)
+        np.add(p, c, out=s)
+        np.subtract(s, p, out=z)
+        np.subtract(s, z, out=b)
+        p -= b
+        np.subtract(c, z, out=b)
+        b += p
+        # v = fl(pi + sigma), r = fl(fl(r x_h) + fl(v + w)), bound += |v| + |w|.
+        pi += b
+        r *= xh
+        np.add(pi, a, out=b)
+        r += b
+        np.abs(pi, out=pi)
+        np.abs(a, out=a)
+        pi += a
+        bound *= xh
+        bound += pi
+    hi, lo = _two_sum(s, r)
+    bound = bound * 2.0**-45 + 2.0**-1060
+    up = (np.nextafter(hi, np.inf) - hi) * 0.5
+    down = (hi - np.nextafter(hi, -np.inf)) * 0.5
+    return hi, (lo + bound < up) & (lo - bound > -down)
 
 
 def _grid_doubles(polys, points: int) -> np.ndarray:
@@ -283,49 +354,13 @@ def _grid_doubles(polys, points: int) -> np.ndarray:
     # t - p is exact (Sterbenz), and so is its difference with the error.
     p = xh * points
     xl = ((t - p) - ((xh_hi * points - p) + xh_lo * points)) / points
-    # The loop runs in place in eight arrays: allocating a temporary per
-    # operation took a third longer at G = 2^16 and a fifth at G = 2048.
-    s = np.broadcast_to(coeffs[-1], (len(polys), points + 1)).copy()
-    r, bound = np.zeros_like(s), np.zeros_like(s)
-    p, pi, a, b, z = (np.empty_like(s) for _ in range(5))
-    for c in coeffs[-2::-1]:
-        # TwoProd s x_h = p + pi, with s split into s_hi + s_lo in a and b.
-        np.multiply(s, xh, out=p)
-        np.multiply(s, _SPLITTER, out=a)
-        np.subtract(a, s, out=b)
-        a -= b
-        np.subtract(s, a, out=b)
-        np.multiply(a, xh_hi, out=pi)
-        pi -= p
-        a *= xh_lo
-        pi += a
-        np.multiply(b, xh_hi, out=a)
-        pi += a
-        b *= xh_lo
-        pi += b
-        # w = fl(s x_l) in a; TwoSum p + c = s + sigma, sigma into b.
-        np.multiply(s, xl, out=a)
-        np.add(p, c, out=s)
-        np.subtract(s, p, out=z)
-        np.subtract(s, z, out=b)
-        p -= b
-        np.subtract(c, z, out=b)
-        b += p
-        # v = fl(pi + sigma), r = fl(fl(r x_h) + fl(v + w)), bound += |v| + |w|.
-        pi += b
-        r *= xh
-        np.add(pi, a, out=b)
-        r += b
-        np.abs(pi, out=pi)
-        np.abs(a, out=a)
-        pi += a
-        bound *= xh
-        bound += pi
-    hi, lo = _two_sum(s, r)
-    bound = bound * 2.0**-45 + 2.0**-1060
-    up = (np.nextafter(hi, np.inf) - hi) * 0.5
-    down = (hi - np.nextafter(hi, -np.inf)) * 0.5
-    ok = (lo + bound < up) & (lo - bound > -down)
+    # Column blocks keep the loop's work arrays in cache: see _GRID_BLOCK.
+    hi = np.empty((len(polys), points + 1))
+    ok = np.empty(hi.shape, dtype=bool)
+    for start in range(0, points + 1, _GRID_BLOCK):
+        cols = slice(start, start + _GRID_BLOCK)
+        points_in = xh[cols], xh_hi[cols], xh_lo[cols], xl[cols]
+        hi[:, cols], ok[:, cols] = _certified_horner(coeffs, *points_in)
     for k, poly in enumerate(polys):
         missed = np.flatnonzero(~ok[k]).tolist()
         if missed:
@@ -352,39 +387,32 @@ def _stages(vec: np.ndarray, lo: int, hi: int) -> None:
         b -= a
 
 
-def wht(f: BooleanFunction) -> FourierExpansion:
-    """Full spectrum by the fast transform, n * 2^n integer operations.
+def _blocked_transform(f: BooleanFunction, n: int, out: np.ndarray) -> None:
+    """The scaled spectrum of f's first 2^n table entries, as an n-ary function, into ``out``.
 
-    Each array is as narrow as a bound proven in advance allows. Stage k
-    maps two values within 2^(k-1) to values within 2^k and forms 2y, within
-    2^k, on the way; so stages 1-6 fit int8 (2^6 <= 127), stages 7-14 int16
-    (2^14 <= 32767) and the rest int32 (2^24 < 2^31).
-
-    The stages for the low _BLOCK_BITS index bits (all n of them below
-    n = _BLOCK_BITS) run one block of 2^_BLOCK_BITS entries at a time. The
-    block's bits are digits a (bits 0-5), b (6-11) and c (12-17), c and then
-    b shorter or empty below n = 18, so in natural order it has shape
-    (c, b, a). A stage on a low bit loops over short rows, so each rotation
-    transpose(2, 0, 1) moves the inner digit outside, and its copy also
-    widens: the table bytes unpack to int8 +-1 and rotate to (a, c, b) for
-    stages 1-6; a cast to int16, written into the first half of the block's
-    slab of the int32 output, rotates to (b, a, c) for stages 7-12; a fresh
-    copy back to natural (c, b, a) runs stages 13-14; and a cast from it into
-    the slab runs the block's stages from 15 on. That copy must not be a
-    view: numpy does not buffer a cast from an int16 view of the slab into
-    the slab, so it would overwrite entries before reading them. The stages
-    above the block then run once over the whole output. Each block array is
-    dropped once the next exists, so the peak is the int32 spectrum plus
-    512 KiB, with no full-length narrow copy beside it.
+    ``out`` is an int32 vector of 2^n entries. The stages for the low
+    _BLOCK_BITS index bits (all n of them below n = _BLOCK_BITS) run one
+    block of 2^_BLOCK_BITS entries at a time. The block's bits are digits a
+    (bits 0-5), b (6-11) and c (12-17), c and then b shorter or empty below
+    n = 18, so in natural order it has shape (c, b, a). A stage on a low bit
+    loops over short rows, so each rotation transpose(2, 0, 1) moves the
+    inner digit outside, and its copy also widens: the table bytes unpack to
+    int8 +-1 and rotate to (a, c, b) for stages 1-6; a cast to int16,
+    written into the first half of the block's slab of ``out``, rotates to
+    (b, a, c) for stages 7-12; a fresh copy back to natural (c, b, a) runs
+    stages 13-14; and a cast from it into the slab runs the block's stages
+    from 15 on. That copy must not be a view: numpy does not buffer a cast
+    from an int16 view of the slab into the slab, so it would overwrite
+    entries before reading them. The stages above the block then run once
+    over the whole of ``out``. Each block array is dropped once the next
+    exists, so the peak is ``out`` plus 512 KiB.
     """
-    n = f.n
     bits = min(n, _BLOCK_BITS)
     a = min(bits, 6)
     b = min(bits - a, 6)
     c = bits - a - b
     mid, block = min(bits, 14), 1 << bits
-    out = np.empty(f.size, dtype=np.int32)
-    for start in range(0, f.size, block):
+    for start in range(0, 1 << n, block):
         slab = out[start : start + block]
         vec = _sign_block(f, start, block).reshape(1 << c, 1 << b, 1 << a)
         vec = np.ascontiguousarray(vec.transpose(2, 0, 1))  # int8 (a, c, b)
@@ -399,6 +427,39 @@ def wht(f: BooleanFunction) -> FourierExpansion:
         del vec
         _stages(slab, mid, bits)
     _stages(out, bits, n)
+
+
+def wht(f: BooleanFunction) -> FourierExpansion:
+    """Full spectrum by the fast transform, n * 2^n integer operations.
+
+    Each array is as narrow as a bound proven in advance allows. Stage k
+    maps two values within 2^(k-1) to values within 2^k and forms 2y, within
+    2^k, on the way; so stages 1-6 fit int8 (2^6 <= 127), stages 7-14 int16
+    (2^14 <= 32767) and the rest int32 (2^24 < 2^31). The stages run block
+    by block in ``_blocked_transform``.
+
+    An odd table, f(-x) = -f(x) (``core._odd``), transforms only its lower
+    half, g(x') = f(x', -1), as an (n-1)-ary function, into the first half
+    of the output. Its upper half is u(x') = f(x', +1) = -g(-x'), whose
+    spectrum is U(T) = -(-1)^|T| G(T), so the top stage's pairs (G + U,
+    U - G) are (2G, 0) where |T| is odd and (0, -2G) where it is even. That
+    stage is one pass over rows of 2^_LEVEL_CHUNK_BITS entries, each scaled
+    by the ``_TOP_FACTORS`` of its high bits' popcount parity; |2G| <= 2^n
+    <= 2^24 fits int32, and it allocates nothing, so the peak is the same
+    int32 spectrum plus 512 KiB. Every other table runs all n stages.
+    """
+    n, half = f.n, f.size // 2
+    out = np.empty(f.size, dtype=np.int32)
+    if _odd(f):
+        _blocked_transform(f, n - 1, out[:half])
+        width = 1 << min(n - 1, _LEVEL_CHUNK_BITS)
+        rows = zip(out[:half].reshape(-1, width), out[half:].reshape(-1, width))
+        for row, (g, u) in enumerate(rows):
+            low_factor, high_factor = _TOP_FACTORS[row.bit_count() & 1, :, :width]
+            np.multiply(g, high_factor, out=u)
+            g *= low_factor
+    else:
+        _blocked_transform(f, n, out)
     return FourierExpansion(n, out)
 
 

@@ -19,6 +19,7 @@ from .core import (
     MAX_ARITY,
     BooleanFunction,
     _from_packed,
+    _odd,
     checked_int,
     checked_ints,
     edge_ends,
@@ -226,8 +227,7 @@ def is_unbiased(f: BooleanFunction) -> bool:
 
 def is_odd(f: BooleanFunction) -> bool:
     """True iff f(-x) = -f(x) for every x."""
-    mask = (1 << f.size) - 1
-    return f.negate_inputs().table ^ f.table == mask
+    return _odd(f)
 
 
 def is_monotone(f: BooleanFunction) -> bool:

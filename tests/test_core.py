@@ -37,9 +37,9 @@ from boolfun import (
     signs_to_index,
     wht,
 )
-from boolfun.core import _CLEAR_END_MASKS, _from_mask, edge_ends
+from boolfun.core import _CLEAR_END_MASKS, _from_mask, _odd, edge_ends
 
-from helpers import random_function
+from helpers import random_function, random_odd_function
 
 DICTATOR = BooleanFunction(1, 0b10)  # f(x1) = x1
 
@@ -120,6 +120,37 @@ def test_negate_inputs_equals_reversed_signs():
     for n in (1, 2, 3, 8, 24):
         f = random_function(n, rng)
         assert f.negate_inputs() == BooleanFunction.from_signs(f.signs()[::-1])
+
+
+def odd_oracle(f: BooleanFunction) -> bool:
+    """f(-x) = -f(x) everywhere, by the whole negated table."""
+    return f.negate_inputs().table ^ f.table == (1 << f.size) - 1
+
+
+def test_odd_test_equals_the_negation_oracle_on_every_table_to_arity_4():
+    # Below n = 4 the half table is under a byte; at n = 4 it is one byte.
+    for n in range(1, 5):
+        odd = 0
+        for table in range(1 << (1 << n)):
+            f = BooleanFunction(n, table)
+            assert _odd(f) == odd_oracle(f), (n, table)
+            odd += _odd(f)
+        assert odd == 1 << (1 << (n - 1)), n  # the lower half is free
+
+
+def test_odd_test_equals_the_negation_oracle_on_seeded_tables():
+    # One flipped bit breaks oddness at either end of either half and in the
+    # middle, so a test that reads part of a half, or one half, misses one.
+    # At n = 20 each half is four chunks of _ODD_CHUNK bytes.
+    rng = np.random.default_rng(33)
+    for n in (*range(5, 17), 20):
+        f = random_odd_function(n, rng)
+        assert _odd(f) and odd_oracle(f), n
+        for j in (0, f.size // 2 - 1, f.size // 2, f.size // 3, f.size - 1):
+            flipped = BooleanFunction(n, f.table ^ (1 << j))
+            assert not _odd(flipped) and not odd_oracle(flipped), (n, j)
+        g = random_function(n, rng)
+        assert not _odd(g) and not odd_oracle(g), n
 
 
 def test_permute_identity():

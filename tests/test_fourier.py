@@ -27,8 +27,16 @@ from boolfun import (
     wht,
 )
 
+from boolfun.core import _odd
 from boolfun.fourier import _BLOCK_BITS, _LEVEL_CHUNK_BITS
-from helpers import butterfly_oracle, level_weights_oracle, polynomial, random_function
+from boolfun.ltf import TIE_TO_MINUS_ONE, tie_witness
+from helpers import (
+    butterfly_oracle,
+    level_weights_oracle,
+    polynomial,
+    random_function,
+    random_odd_function,
+)
 
 DICTATOR = BooleanFunction(1, 0b10)
 PARITY2 = BooleanFunction.from_signs([1, -1, -1, 1])  # x1 * x2
@@ -251,19 +259,33 @@ def test_wht_past_one_block_equals_int64_oracle(n):
     assert np.array_equal(wht(f).scaled, butterfly_oracle(f))
 
 
+def wht_peak(f: BooleanFunction) -> int:
+    """tracemalloc's peak over one ``wht(f)``, the table's word view built before."""
+    wht(f)
+    tracemalloc.start()
+    try:
+        wht(f)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_wht_peak_is_the_spectrum_plus_half_a_mib():
     # Stages 7-12 run in the slab's own bytes, so a block adds at most one
     # 2^18-entry int16 array (or the int8 unpack and its rotation) to the
     # 4-byte spectrum; the level sums after the loop take 0.38 MiB.
     f = random_function(20, np.random.default_rng(42))
-    wht(f)  # builds the table's cached word view outside the measurement
-    tracemalloc.start()
-    try:
-        e = wht(f)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 4 * e.size + 2**19 + 2**16
+    assert not _odd(f)
+    assert wht_peak(f) <= 4 * f.size + 2**19 + 2**16
+
+
+def test_wht_peak_on_an_odd_table_is_the_spectrum_plus_half_a_mib():
+    # The half transform's blocks are the same 2^18 entries, its top stage
+    # allocates nothing, and the odd test's byte copies (16 KiB chunks) are
+    # gone before the first block; the slack is the same 64 KiB.
+    f = random_odd_function(20, np.random.default_rng(43))
+    assert _odd(f)
+    assert wht_peak(f) <= 4 * f.size + 2**19 + 2**16
 
 
 def test_wht_equals_int64_oracle_on_random_tables_at_every_arity_to_20():
@@ -276,6 +298,57 @@ def test_wht_equals_int64_oracle_on_random_tables_at_every_arity_to_20():
 
 def test_wht_and_levels_match_int64_oracles_at_arity_cap():
     f = random_function(24, np.random.default_rng(34))
+    e = wht(f)
+    assert e.scaled.dtype == np.int32
+    assert np.array_equal(e.scaled, butterfly_oracle(f))
+    assert stability_polynomial(e).weights == level_weights_oracle(e)
+
+
+def odd_ltf(n: int, rng) -> BooleanFunction:
+    """A tie-free LTF at theta = 0 with signed weights: |w|_1 is odd, so w . x never is 0."""
+    weights = rng.integers(1, 6, n) * rng.choice([-1, 1], n)
+    if np.abs(weights).sum() % 2 == 0:
+        weights[0] += np.sign(weights[0])
+    return materialize(LtfSpec(tuple(weights)))
+
+
+def tied_table(n: int, rng) -> BooleanFunction:
+    """A map_to_minus_one table with ties, so never odd: f(x) = f(-x) = -1 at a tie.
+
+    Weights come in pairs +-a, +-a, and a zero weight at odd n, so some x
+    cancels every pair.
+    """
+    pairs = rng.integers(1, 6, n // 2)
+    weights = np.concatenate([pairs, pairs, np.zeros(n % 2, int)]) * rng.choice([-1, 1], n)
+    spec = LtfSpec(tuple(rng.permutation(weights)), 0, TIE_TO_MINUS_ONE)
+    assert tie_witness(spec) is not None
+    return materialize(spec)
+
+
+TABLE_KINDS = {
+    "odd_ltf": (odd_ltf, True),
+    "random_odd": (random_odd_function, True),  # a random lower half, not built as an LTF
+    "tied": (tied_table, False),
+}
+
+
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_wht_equals_int64_oracle_on_odd_and_tied_tables_at_every_arity_to_20(kind):
+    # Odd tables take the half transform and its top stage, tied ones the
+    # full transform; random tables are the test above.
+    make, odd = TABLE_KINDS[kind]
+    rng = np.random.default_rng(44)
+    for n in range(1, 21):
+        f = make(n, rng)
+        assert _odd(f) == odd, n
+        assert np.array_equal(wht(f).scaled, butterfly_oracle(f)), n
+
+
+def test_odd_table_at_arity_cap_equals_int64_oracle():
+    # The console rows' odd spec: its half transform runs six stages above
+    # the block, and its top stage fills every row of 2^12 at n = 24.
+    f = materialize(LtfSpec((*range(23, 0, -1), 25)))
+    assert _odd(f)
     e = wht(f)
     assert e.scaled.dtype == np.int32
     assert np.array_equal(e.scaled, butterfly_oracle(f))

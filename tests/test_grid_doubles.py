@@ -23,7 +23,7 @@ from boolfun import (
     stability_polynomial,
     wht,
 )
-from boolfun.fourier import _grid_doubles
+from boolfun.fourier import _GRID_BLOCK, _grid_doubles
 from helpers import random_monotone_spec
 
 GRIDS = (2, 3, 7, 100, 255, 256, 2047, 4096, 65535, 65536)
@@ -152,6 +152,23 @@ def test_midpoints_round_to_even_through_the_fallback(numerators, exact, expecte
     assert poly.evaluate(Fraction(1, 65536)) == exact
     assert _grid_doubles((poly,), 65536)[0, 1] == expected
     assert any(1 in points for points in horner_points)
+
+
+def test_uncertified_points_past_the_first_block_take_their_own_exact_value(horner_points):
+    # x - t0/G is an exact zero at t0, in the fourth column block; 8 + x/2^50
+    # sits on the midpoint 8 + 2^-50 at t = 2^14, the first point of the
+    # third block, and on 8 + 3 * 2^-50 at 3 * 2^14, in the seventh. Neither
+    # certifies, so each must reach the exact Horner at its grid index: a
+    # block-local index would evaluate a point of the first block instead.
+    points = 65536
+    t0 = 3 * _GRID_BLOCK + 5
+    zero = StabilityPolynomial((-t0 * 2**32, 2**48), 2**48)
+    midpoint = StabilityPolynomial((2**51, 1), 2**48)
+    got = _grid_doubles((zero, midpoint), points)
+    assert got[0, t0] == 0.0
+    assert got[1, 2**14] == 8.0 and got[1, 3 * 2**14] == 8 + 2**-48  # ties to even
+    assert t0 in horner_points[0] and {2**14, 3 * 2**14} <= set(horner_points[1])
+    assert_exact((zero, midpoint), points)
 
 
 def near_midpoint(target: Fraction, points: int, side: int) -> StabilityPolynomial:
