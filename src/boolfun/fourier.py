@@ -1,9 +1,10 @@
 """Exact Walsh-Hadamard spectra: coefficients, influences, degree weights, stability.
 
-Scaling convention: an expansion stores the integers 2^n * fhat(S) indexed by
-subset mask S, where fhat(S) = 2^-n sum_x f(x) chi_S(x) and chi_S(x) is the
-product of the coordinates in S. Division happens only at the reporting
-boundary, so every published value is an exact Fraction in lowest terms.
+Scaling convention: an expansion's ``scaled`` holds the integers
+2^n * fhat(S) indexed by subset mask S, where fhat(S) = 2^-n sum_x f(x)
+chi_S(x) and chi_S(x) is the product of the coordinates in S. Division
+happens only at the reporting boundary, so every published value is an
+exact Fraction in lowest terms.
 
 With arity capped at 24, the fast paths are exact: the transform's stage k
 leaves every value within 2^k, so within each block of 2^18 entries it runs
@@ -12,14 +13,16 @@ the output; the stages above the block run in int32 on the whole output. A
 stage's cost is numpy's loop over its rows, not its arithmetic, so each
 block's stages run where their rows are long: the block's 18 index bits are
 three 6-bit digits, and each digit's stages run while a copy has rotated it to
-the outside. An odd table, f(-x) = -f(x), as Maj_n and every tie-free LTF at
-theta = 0 are, transforms only its x_n = -1 half this way; its top stage then
-writes 2G or -2G, G the half's spectrum, within 2^n <= 2^24. The int32
-spectrum stays within 2^24 < 2^31, and it plus 512 KiB is the transform's
-peak on either path: 64.5 MiB at n = 24. Every
-expansion sums its squares by level once, on construction, in float64, and
-is refused unless they total 4^n (Parseval); a true spectrum's level sums
-stay within 4^24 = 2^48 < 2^53, so they are exact.
+the outside. The int32 spectrum stays within 2^24 < 2^31, and it plus
+512 KiB is the transform's peak: 64.5 MiB at n = 24. An odd table,
+f(-x) = -f(x), as Maj_n and every tie-free LTF at theta = 0 are, transforms
+only its x_n = -1 half this way, and its expansion keeps just that half's
+spectrum G: the peak is G plus 512 KiB, 32.5 MiB at n = 24. Its level sums
+come from G's, and the full vector, 2G or -2G within 2^n <= 2^24 where it is
+not 0, is built only when ``scaled`` is read. Every expansion sums the
+squares of the vector it keeps by level once, on construction, in float64,
+and is refused unless they total 4^n, or 4^(n-1) for G (Parseval); a true
+spectrum's level sums stay within 4^24 = 2^48 < 2^53, so they are exact.
 
 A stability polynomial holds integers over 4^n and evaluates exactly in
 Python ints. A grid of its values, as ``compare`` writes, is evaluated in
@@ -69,13 +72,16 @@ _BLOCK_BITS = 18
 # accumulator row. At 2^12 the accumulator, one row's float64 squares and the
 # intp level of each low mask take 0.38 MiB at n = 20; 2^14 rows need a
 # 0.9 MiB accumulator. A bincount per row of 2^14 took 2.7 ms at n = 20 and
-# 45 ms at n = 24; this takes 1.5 and 25 ms.
+# 45 ms at n = 24; this takes 1.5 and 25 ms. Each row is copied into the
+# float64 buffer and squared there: np.square with dtype=float64 runs a
+# buffered cast, and its loop over the 256 rows at n = 20 took 1.44 ms
+# against 1.30 ms (best of 9 x 10).
 _LEVEL_CHUNK_BITS = 12
 
-# wht's odd top stage scales a row of 2^_LEVEL_CHUNK_BITS entries of the half
-# spectrum G, at low masks m, by _TOP_FACTORS[p], p the parity of the row's
-# high bits: for the lower output half 2 where |m| + p is odd, for the upper
-# -2 where it is even, and 0 elsewhere. Built once, 64 KiB.
+# An odd expansion's scaled scales a row of 2^_LEVEL_CHUNK_BITS entries of
+# its half spectrum G, at low masks m, by _TOP_FACTORS[p], p the parity of the
+# row's high bits: for the lower output half 2 where |m| + p is odd, for the
+# upper -2 where it is even, and 0 elsewhere. Built once, 64 KiB.
 _LOW_ODD = (np.bitwise_count(np.arange(1 << _LEVEL_CHUNK_BITS)) & 1).astype(np.int32)
 _TOP_FACTORS = 2 * np.array([[_LOW_ODD, _LOW_ODD - 1], [1 - _LOW_ODD, -_LOW_ODD]])
 
@@ -97,39 +103,81 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FourierExpansion:
-    """All 2^n scaled Fourier coefficients of a +-1 valued function."""
+    """All 2^n scaled Fourier coefficients of a +-1 valued function.
+
+    ``FourierExpansion(n, scaled)`` keeps the vector it is given; ``wht``
+    keeps an odd table's as G, its x_n = -1 half's spectrum (see ``wht``).
+    """
 
     n: int
-    scaled: np.ndarray  # scaled[S] = 2^n * fhat(S); int32 from wht, |.| <= 2^24
     # level_sums[k] = 4^n W_k, the sum of scaled[S]^2 over |S| = k.
-    level_sums: tuple[int, ...] = field(init=False, repr=False)
+    level_sums: tuple[int, ...] = field(repr=False)
+    _stored: np.ndarray = field(repr=False)  # scaled, or an odd table's G
+    _half: bool = field(repr=False)  # whether _stored is G
 
-    def __post_init__(self):
-        object.__setattr__(self, "n", checked_int(self.n, "arity", 1, MAX_ARITY))
-        # Checked with no copy: wht's int32 spectrum sets the n = 24 peak.
-        if not (isinstance(self.scaled, np.ndarray) and np.issubdtype(self.scaled.dtype, np.integer)):
+    def __init__(self, n: int, scaled: np.ndarray):
+        self._keep(n, scaled, half=False)
+
+    @classmethod
+    def _of_odd_half(cls, n: int, g: np.ndarray) -> FourierExpansion:
+        """The expansion of an odd n-ary table from G, its x_n = -1 half's spectrum."""
+        e = cls.__new__(cls)
+        e._keep(n, g, half=True)
+        return e
+
+    def _keep(self, n, stored, half: bool) -> None:
+        n = checked_int(n, "arity", 1, MAX_ARITY)
+        bits = n - half
+        # Checked with no copy: wht's int32 vector sets the n = 24 peak.
+        if not (isinstance(stored, np.ndarray) and np.issubdtype(stored.dtype, np.integer)):
             raise ValueError("scaled coefficients must be a numpy array of an integer dtype")
-        if self.scaled.shape != (1 << self.n,):
-            raise ValueError("coefficient vector length must be 2^n")
+        if stored.shape != (1 << bits,):
+            raise ValueError(f"coefficient vector length must be 2^{'(n-1)' if half else 'n'}")
         # Exact in float64 for any integer vector: every addend is a nonnegative
         # square and rounding to nearest is monotone, so a level whose exact sum
         # is at most 2^53 is summed exactly, and one past 2^53 is computed as at
-        # least 2^53 > 4^24. So the total equals 4^n only for a vector whose
-        # squares truly sum to 4^n, which bounds every entry by 2^n: every
+        # least 2^53 > 4^24. So the total equals 4^bits only for a vector whose
+        # squares truly sum to 4^bits, which bounds every entry by 2^bits: every
         # square and inverse_wht partial sum is then within 4^n.
-        sums = _level_sums(self.scaled, self.n)
-        if sum(sums) != 1 << 2 * self.n:
+        sums = _level_sums(stored, bits)
+        if sum(sums) != 1 << 2 * bits:
             raise ValueError(
-                f"scaled coefficients must be a spectrum: squares summing to 4^{self.n} (Parseval)"
+                f"scaled coefficients must be a spectrum: squares summing to 4^{bits} (Parseval)"
             )
-        object.__setattr__(self, "level_sums", sums)
-        self.scaled.setflags(write=False)
+        if half:
+            # See wht: 4^n W_k = 4 (L_k[G] + L_{k-1}[G]) for odd k, with
+            # L_n[G] = 0, and 0 for even k. Parseval on G is Parseval on f.
+            sums = tuple(4 * sum(sums[k - 1 : k + 1]) if k & 1 else 0 for k in range(n + 1))
+        stored.setflags(write=False)
+        for name, value in (("n", n), ("level_sums", sums), ("_stored", stored), ("_half", half)):
+            object.__setattr__(self, name, value)
 
     @property
     def size(self) -> int:
         return 1 << self.n
+
+    @cached_property
+    def scaled(self) -> np.ndarray:
+        """scaled[S] = 2^n * fhat(S), read-only; int32 from wht, |.| <= 2^24.
+
+        An odd table's is built from G on first read by wht's top stage, one
+        pass over rows of 2^_LEVEL_CHUNK_BITS entries of G scaled by
+        ``_TOP_FACTORS``; |2G| <= 2^n <= 2^24 fits int32.
+        """
+        if not self._half:
+            return self._stored
+        g = self._stored
+        out = np.empty(2 * g.size, dtype=g.dtype)
+        width = 1 << min(self.n - 1, _LEVEL_CHUNK_BITS)
+        rows = zip(*(half.reshape(-1, width) for half in (g, out[: g.size], out[g.size :])))
+        for row, (g_row, low, high) in enumerate(rows):
+            low_factor, high_factor = _TOP_FACTORS[row.bit_count() & 1, :, :width]
+            np.multiply(g_row, low_factor, out=low)
+            np.multiply(g_row, high_factor, out=high)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -439,28 +487,24 @@ def wht(f: BooleanFunction) -> FourierExpansion:
     by block in ``_blocked_transform``.
 
     An odd table, f(-x) = -f(x) (``core._odd``), transforms only its lower
-    half, g(x') = f(x', -1), as an (n-1)-ary function, into the first half
-    of the output. Its upper half is u(x') = f(x', +1) = -g(-x'), whose
-    spectrum is U(T) = -(-1)^|T| G(T), so the top stage's pairs (G + U,
-    U - G) are (2G, 0) where |T| is odd and (0, -2G) where it is even. That
-    stage is one pass over rows of 2^_LEVEL_CHUNK_BITS entries, each scaled
-    by the ``_TOP_FACTORS`` of its high bits' popcount parity; |2G| <= 2^n
-    <= 2^24 fits int32, and it allocates nothing, so the peak is the same
-    int32 spectrum plus 512 KiB. Every other table runs all n stages.
+    half, g(x') = f(x', -1), as an (n-1)-ary function, and the expansion
+    keeps that half's int32 spectrum G. The upper half is u(x') = f(x', +1)
+    = -g(-x'), whose spectrum is U(T) = -(-1)^|T| G(T), so the top stage's
+    pairs (G + U, U - G) are (2G, 0) where |T| is odd and (0, -2G) where it
+    is even. Every even level of f is then 0 and each odd level k sums
+    4 G(T)^2 over |T| = k and |T| = k - 1: 4^n W_k = 4 (L_k[G] + L_{k-1}[G]),
+    L the level sums of G. The full vector is written only when
+    ``FourierExpansion.scaled`` is read, so the peak is G plus 512 KiB:
+    32.5 MiB at n = 24. Every other table runs all n stages into the int32
+    spectrum, and its peak is that plus 512 KiB: 64.5 MiB at n = 24.
     """
-    n, half = f.n, f.size // 2
-    out = np.empty(f.size, dtype=np.int32)
     if _odd(f):
-        _blocked_transform(f, n - 1, out[:half])
-        width = 1 << min(n - 1, _LEVEL_CHUNK_BITS)
-        rows = zip(out[:half].reshape(-1, width), out[half:].reshape(-1, width))
-        for row, (g, u) in enumerate(rows):
-            low_factor, high_factor = _TOP_FACTORS[row.bit_count() & 1, :, :width]
-            np.multiply(g, high_factor, out=u)
-            g *= low_factor
-    else:
-        _blocked_transform(f, n, out)
-    return FourierExpansion(n, out)
+        g = np.empty(f.size // 2, dtype=np.int32)
+        _blocked_transform(f, f.n - 1, g)
+        return FourierExpansion._of_odd_half(f.n, g)
+    out = np.empty(f.size, dtype=np.int32)
+    _blocked_transform(f, f.n, out)
+    return FourierExpansion(f.n, out)
 
 
 def inverse_wht(e: FourierExpansion) -> BooleanFunction:
@@ -473,7 +517,9 @@ def inverse_wht(e: FourierExpansion) -> BooleanFunction:
     largest value, so from entries within 2^n the partial sums stay within
     4^n <= 2^48. A spectrum's entries come out +-2^n exactly, and the +2^n
     ones are the table's set bits. The peak is the int64 vector, whose
-    absolute values are taken in place, and one boolean mask: 9 bytes an entry.
+    absolute values are taken in place, and one boolean mask: 9 bytes an
+    entry, beside the int32 ``scaled`` that an odd table's expansion builds
+    and keeps on this first read.
     """
     vec = e.scaled[::-1].astype(np.int64, order="C")
     _stages(vec, 0, e.n)
@@ -551,7 +597,8 @@ def _level_sums(scaled: np.ndarray, n: int) -> tuple[int, ...]:
     squares = np.empty(1 << low_bits)
     by_high = np.zeros((n - low_bits + 1, 1 << low_bits))
     for row, chunk in enumerate(scaled.reshape(-1, 1 << low_bits)):
-        np.square(chunk, out=squares, dtype=np.float64)
+        squares[:] = chunk
+        squares *= squares
         by_high[row.bit_count()] += squares
     sums = np.zeros(n + 1)
     for high, part in enumerate(by_high):

@@ -67,10 +67,11 @@ ROWS = [
     # 256 MiB through json.dumps and 92 MiB with full-cube sums and a w1/margin pair per entry.
     Row(("search", "9", "15", "--out", "out.json"), peak_mib=100, timeout=300,
         out="912a370a3b597e8f6f5e7a31cda38f377bd819a07d6d2f7822eac1c2d47831d4"),
-    # n = 24, the arity cap: the peaks (98-102 MiB) are the int32 spectrum and one 2^18-entry
-    # int16 array of wht's narrow stages; the table is built and tie-scanned row by row, with no
-    # 2^n sums or mask, so it adds no large array before or beside them.
-    Row(("analyze", N24), peak_mib=110, timeout=300,
+    # n = 24, the arity cap: the table is built and tie-scanned row by row, with no 2^n sums or
+    # mask, so wht sets the peak. N24 is odd, so its expansion keeps the 32 MiB half spectrum
+    # beside one 2^18-entry int16 array of the narrow stages (66-70 MiB); the tied 24..1 is not,
+    # and holds the 64 MiB int32 spectrum (98 MiB).
+    Row(("analyze", N24), peak_mib=80, timeout=300,
         stdout="e535f6b02ffc06da6a3be76048fafa823a58971b62a0faf53684aed6765a3dfb"),
     # 24..1 has ties (tie_broken: true), the first at row 0 of the scan.
     Row(("analyze", ",".join(map(str, range(24, 0, -1))), "--tie-policy", "map_to_minus_one"),
@@ -78,13 +79,13 @@ ROWS = [
         stdout="638897752442d9880131f0bf6e794804085c1cef177aa4ce3219ab01483641d7"),
     # Both outputs pinned: the transform and level sums are checked byte for byte at the cap.
     Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65536",
-         "--out", "out.csv"), peak_mib=110, timeout=120,
+         "--out", "out.csv"), peak_mib=80, timeout=120,
         stdout="480bcb9f747ceffd483b8b427a1e29ca389a6610423c09cf18233ea21bd99ede",
         out="e0a78bd1dc4a00e99a4f5a64f0bf8317fde3422cb071dda300dd898830859364"),
     # 2^16 - 1 intervals: t/G is no double, so the certified float grid carries x = x_h + x_l
     # at the cap. Both digests are those of the all-integer Horner and int / int CSV before it.
     Row(("compare", N24, "3,3,3,3,3,3,3,3,3,3,3,3,1,1,1,1,1,1,1,1,1,1,1,2", "--grid", "65535",
-         "--out", "out.csv"), peak_mib=110, timeout=120,
+         "--out", "out.csv"), peak_mib=80, timeout=120,
         stdout="7910addb7913b57dc1721b7a73f5e70ef0a1b4dedb9f298f385e30d457c19cd1",
         out="78b413113903d28eb69248e26cc875d258df86d5b116ffd893f6e3b03c6a0d84"),
     # n = 24 in Python-int sums, the most comparisons MAX_SUM_BITS admits; 40 MiB, as its sums

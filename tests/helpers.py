@@ -198,16 +198,24 @@ def butterfly_oracle(f: BooleanFunction) -> np.ndarray:
     return vec
 
 
+def level_sums_oracle(scaled: np.ndarray) -> tuple:
+    """4^n W_0..4^n W_n of a 2^n-entry scaled vector, one masked int64 sum of squares per level.
+
+    On ``butterfly_oracle(f)`` it is independent of ``wht``, whose ``scaled``
+    an odd table builds from the same half spectrum as its level sums.
+    """
+    levels = np.bitwise_count(np.arange(scaled.size, dtype=np.uint32))
+    squares = scaled.astype(np.int64) ** 2
+    return tuple(int(np.sum(squares[levels == k])) for k in range(scaled.size.bit_length()))
+
+
 def level_weights_oracle(e: FourierExpansion) -> tuple:
-    """W_0..W_n by one masked int64 sum of squares per level.
+    """W_0..W_n by ``level_sums_oracle``.
 
     The reference that the chunked float64 ``stability_polynomial`` must
     equal exactly.
     """
-    levels = np.bitwise_count(np.arange(e.size, dtype=np.uint32))
-    squares = e.scaled.astype(np.int64) ** 2
-    denom = e.size * e.size
-    return tuple(Fraction(int(np.sum(squares[levels == k])), denom) for k in range(e.n + 1))
+    return tuple(Fraction(total, e.size * e.size) for total in level_sums_oracle(e.scaled))
 
 
 def _trim(p: list) -> list:

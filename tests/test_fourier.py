@@ -32,6 +32,7 @@ from boolfun.fourier import _BLOCK_BITS, _LEVEL_CHUNK_BITS
 from boolfun.ltf import TIE_TO_MINUS_ONE, tie_witness
 from helpers import (
     butterfly_oracle,
+    level_sums_oracle,
     level_weights_oracle,
     polynomial,
     random_function,
@@ -244,8 +245,12 @@ def stage_edge_function(case: str, n: int) -> BooleanFunction:
 def test_wht_at_every_width_edge_equals_int64_oracle(case, n):
     f = stage_edge_function(case, n)
     e = wht(f)
+    # chi_[n] is odd at odd n, so n = 7, 15 and 19 put its half spectrum G at
+    # the width edges 6, 14 and _BLOCK_BITS, and n = 13 at the block's digit edge.
+    assert e._half == (case == "parity" and n % 2 == 1)
     assert e.scaled.dtype == np.int32
     expected = butterfly_oracle(f)
+    assert e.level_sums == level_sums_oracle(expected)
     assert np.array_equal(e.scaled, expected)
     assert np.count_nonzero(expected) == 1 and np.abs(expected).max() == 1 << n
 
@@ -280,12 +285,41 @@ def test_wht_peak_is_the_spectrum_plus_half_a_mib():
 
 
 def test_wht_peak_on_an_odd_table_is_the_spectrum_plus_half_a_mib():
-    # The half transform's blocks are the same 2^18 entries, its top stage
-    # allocates nothing, and the odd test's byte copies (16 KiB chunks) are
-    # gone before the first block; the slack is the same 64 KiB.
+    # The expansion keeps only the half spectrum G, 2 bytes per table entry;
+    # the half transform's blocks are the same 2^18 entries, and the odd
+    # test's byte copies (16 KiB chunks) are gone before the first block.
     f = random_odd_function(20, np.random.default_rng(43))
     assert _odd(f)
-    assert wht_peak(f) <= 4 * f.size + 2**19 + 2**16
+    assert wht_peak(f) <= 2 * f.size + 2**19 + 2**16
+
+
+def test_stability_polynomial_of_an_odd_table_never_allocates_the_full_spectrum():
+    # The 4 MiB int32 vector would come from reading scaled; level sums need only G.
+    f = random_odd_function(20, np.random.default_rng(45))
+    f._words  # the table's cached word view, built before tracing as in wht_peak
+    tracemalloc.start()
+    try:
+        assert sum(stability_polynomial(wht(f)).weights) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * f.size + 2**19 + 2**16 < 4 * f.size
+
+
+def check_against_int64_oracles(f: BooleanFunction) -> FourierExpansion:
+    """wht(f) against the int64 butterfly: its level sums first, then scaled, read twice.
+
+    An odd table's level sums and scaled both come from its half spectrum G,
+    so each is checked against the oracle, not against the other.
+    """
+    e = wht(f)
+    assert e._half == _odd(f)
+    expected = butterfly_oracle(f)
+    assert stability_polynomial(e).numerators == level_sums_oracle(expected)
+    assert e.scaled is e.scaled and not e.scaled.flags.writeable
+    assert e.scaled.dtype == np.int32
+    assert np.array_equal(e.scaled, expected)
+    return e
 
 
 def test_wht_equals_int64_oracle_on_random_tables_at_every_arity_to_20():
@@ -334,25 +368,56 @@ TABLE_KINDS = {
 
 @pytest.mark.parametrize("kind", TABLE_KINDS)
 def test_wht_equals_int64_oracle_on_odd_and_tied_tables_at_every_arity_to_20(kind):
-    # Odd tables take the half transform and its top stage, tied ones the
-    # full transform; random tables are the test above.
+    # Odd tables keep their half spectrum, tied ones the full transform;
+    # random tables are the test above.
     make, odd = TABLE_KINDS[kind]
     rng = np.random.default_rng(44)
     for n in range(1, 21):
         f = make(n, rng)
         assert _odd(f) == odd, n
-        assert np.array_equal(wht(f).scaled, butterfly_oracle(f)), n
+        check_against_int64_oracles(f)
+
+
+def test_majority_and_the_counterexample_match_int64_oracles():
+    for f in [*map(majority, range(1, 21, 2)), counterexample()]:
+        assert check_against_int64_oracles(f)._half
 
 
 def test_odd_table_at_arity_cap_equals_int64_oracle():
     # The console rows' odd spec: its half transform runs six stages above
-    # the block, and its top stage fills every row of 2^12 at n = 24.
+    # the block, and scaled's top stage fills every row of 2^12 at n = 24.
     f = materialize(LtfSpec((*range(23, 0, -1), 25)))
-    assert _odd(f)
-    e = wht(f)
-    assert e.scaled.dtype == np.int32
-    assert np.array_equal(e.scaled, butterfly_oracle(f))
-    assert stability_polynomial(e).weights == level_weights_oracle(e)
+    assert check_against_int64_oracles(f)._half
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_half_spectrum_of_plus_minus_x1_has_one_entry(sign):
+    e = wht(BooleanFunction(1, 0b10 if sign == 1 else 0b01))
+    assert e._half and e._stored.tolist() == [-sign]
+    assert e.level_sums == (0, 4)
+    assert e.scaled.tolist() == [0, 2 * sign]
+
+
+@pytest.mark.parametrize(
+    "g, match",
+    [
+        (np.array([2, 0, 0, 0], np.int32), "length"),  # 2^n entries, not 2^(n-1)
+        (np.array([2.0, 0.0]), "integer dtype"),
+        (np.array([2, 2], np.int32), "Parseval"),  # squares total 8, not 4^(n-1)
+    ],
+    ids=["length", "float", "not Parseval"],
+)
+def test_half_spectrum_refuses_what_is_not_one(g, match):
+    with pytest.raises(ValueError, match=match):
+        FourierExpansion._of_odd_half(2, g)
+
+
+def test_expansion_of_a_full_vector_keeps_it_even_for_an_odd_table():
+    f = random_odd_function(12, np.random.default_rng(46))
+    scaled = butterfly_oracle(f)
+    e = FourierExpansion(12, scaled)
+    assert not e._half and e.scaled is scaled
+    assert e.level_sums == wht(f).level_sums
 
 
 @pytest.mark.parametrize("case", ["one", "minus_one", "dictator", "random"])
@@ -368,10 +433,12 @@ def test_spectral_influences_at_arity_cap(case):
         "random": lambda: random_function(n, np.random.default_rng(36)),
     }[case]()
     e = wht(f)
+    assert e._half == (case == "dictator")  # x_24 is odd; its scaled comes from G
     assert e.scaled.dtype == np.int32
     for i in range(1, n + 1):
         assert influence_from_spectrum(e, i) == influence(f, i)
     if case == "dictator":
+        assert e.scaled[half] == 1 << n  # -2G, G = -2^23 on the constant x_24 = -1 half
         assert influence(f, n) == 1
 
 
